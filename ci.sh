@@ -42,76 +42,65 @@ cargo test -q -p apcm-server --test eventloop
 echo "==> cargo bench --workspace --no-run (benches stay compilable)"
 cargo bench --workspace --no-run
 
-echo "==> harness smoke run (appends one record set to BENCH_pr3.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e2 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr3.json
+echo "==> cargo test (stackbench: unit tests, smoke, driver contract)"
+cargo test -q --offline --manifest-path stackbench/Cargo.toml
 
-echo "==> cluster harness smoke run (appends e13 records to BENCH_pr8.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e13 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr8.json
+echo "==> stackbench --smoke (every workload x metric, oracle-checked)"
+mkdir -p target/ci
+cargo run --release -q --offline --manifest-path stackbench/Cargo.toml -- \
+    --smoke --out target/ci/stackbench-smoke.json --trace-out target/ci/stackbench-trace.json
+
+# Harness smoke runs write fresh records under target/ci; the committed
+# BENCH_prN.json files are frozen history.
+harness_smoke() {
+    local exp="$1" scale="$2"
+    echo "==> harness smoke run ($exp -> target/ci/$exp.json)"
+    cargo run --release -q -p apcm-bench --bin harness -- \
+        --experiment "$exp" --scale "$scale" --budget-ms 50 --seed 42 \
+        --json "target/ci/$exp.json"
+}
+
+harness_smoke e2 0.002
+harness_smoke e13 0.002
 
 echo "==> summary pruning engages on skewed placement (pruned_fanout_ratio < 1.0)"
-python3 - <<'EOF'
+python3 - <<'PY'
 import json
-records = json.load(open("BENCH_pr8.json"))
+records = json.load(open("target/ci/e13.json"))
 ratios = [
     r["value"]
     for r in records
-    if r["experiment"] == "e13"
-    and r["algorithm"] == "routed-skewed"
-    and r["metric"] == "pruned_fanout_ratio"
+    if r["algorithm"] == "routed-skewed" and r["metric"] == "pruned_fanout_ratio"
 ]
-assert ratios, "no pruned_fanout_ratio records in BENCH_pr8.json"
+assert ratios, "no pruned_fanout_ratio records in target/ci/e13.json"
 latest = ratios[-1]
 assert latest < 1.0, f"summary pruning never skipped a backend: ratio {latest}"
 print(f"    pruned_fanout_ratio {latest} < 1.0")
-EOF
+PY
 
-echo "==> replication harness smoke run (appends e14 records to BENCH_pr5.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e14 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr5.json
-
-echo "==> snapshot-format harness smoke run (appends e15 records to BENCH_pr6.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e15 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr6.json
-
-echo "==> resharding harness smoke run (appends e16 records to BENCH_pr7.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e16 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr7.json
-
-echo "==> event-loop harness smoke run (appends e17 records to BENCH_pr9.json)"
+harness_smoke e14 0.002
+harness_smoke e15 0.002
+harness_smoke e16 0.002
 # e17 raises RLIMIT_NOFILE to the hard limit itself (best-effort); ulimit
 # here widens the starting soft limit where the shell is allowed to.
 ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e17 --scale 0.1 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr9.json
-
-echo "==> replication-chain harness smoke run (appends e18 records to BENCH_pr10.json)"
-cargo run --release -q -p apcm-bench --bin harness -- \
-    --experiment e18 --scale 0.002 --budget-ms 50 --seed 42 \
-    --json-append BENCH_pr10.json
+harness_smoke e17 0.1
+harness_smoke e18 0.002
 
 echo "==> follower reads engage (reads_follower_served > 0 with followers present)"
-python3 - <<'EOF'
+python3 - <<'PY'
 import json
-records = json.load(open("BENCH_pr10.json"))
+records = json.load(open("target/ci/e18.json"))
 served = [
     r["value"]
     for r in records
-    if r["experiment"] == "e18"
-    and r["param"] in ("followers=1", "followers=2")
+    if r["param"] in ("followers=1", "followers=2")
     and r["metric"] == "reads_follower_served"
 ]
-assert served, "no reads_follower_served records in BENCH_pr10.json"
+assert served, "no reads_follower_served records in target/ci/e18.json"
 latest = served[-1]
 assert latest > 0, "the router never served a routed window from a follower"
 print(f"    reads_follower_served {latest:.0f} > 0")
-EOF
+PY
 
 echo "==> ci.sh: all green"

@@ -16,8 +16,8 @@ use apcm_bexpr::{AttrId, Event, Matcher, Op, Predicate, Schema, SubId, Subscript
 use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_core::{AdaptiveConfig, ApcmConfig, ApcmMatcher, ClusteringPolicy, Executor, PcmMatcher};
 use apcm_server::{
-    route_partition, BrokerClient, EngineChoice, IoModel, PersistConfig, Ring, Server,
-    ServerConfig, ServerStats, SnapshotFormat,
+    route_partition, BrokerClient, EngineChoice, PersistConfig, Ring, Server, ServerConfig,
+    ServerStats, SnapshotFormat,
 };
 use apcm_workload::{DriftingStream, ValueDist, Workload, WorkloadSpec};
 use std::time::{Duration, Instant};
@@ -195,8 +195,8 @@ fn main() {
     let args = parse_args();
     // Child-process server mode for E17 — must run before the banner so
     // the parent can parse this process's first stdout line as `ADDR`.
-    if args.experiment.starts_with("e17-serve") {
-        e17_serve(&args.experiment);
+    if args.experiment == "e17-serve" {
+        e17_serve();
         return;
     }
     println!(
@@ -1838,30 +1838,23 @@ fn e12_build(args: &Args) {
 // ---------------------------------------------------------------------
 // E17 — event-loop broker at connection scale.
 //
-// The broker runs in a *child process* (`--experiment e17-serve-loop` /
-// `e17-serve-threads`) so its RSS is readable from
-// `/proc/<pid>/status` without the measuring client's own sockets and
-// buffers polluting the number. The parent dials N idle subscribers
-// (SUB once, then silence) and samples the child's VmRSS per point,
-// then measures PING round-trip percentiles across a fleet of active
-// connections for both I/O models.
+// The broker runs in a *child process* (`--experiment e17-serve`) so its
+// RSS is readable from `/proc/<pid>/status` without the measuring
+// client's own sockets and buffers polluting the number. The parent dials
+// N idle subscribers (SUB once, then silence) and samples the child's
+// VmRSS per point, then measures PING round-trip percentiles across a
+// fleet of active connections.
 
 /// Child mode: start a broker, print `ADDR <addr>`, serve until stdin
 /// closes or says `stop`. The shutdown render is discarded — stdout
 /// must carry nothing but the ADDR line.
-fn e17_serve(mode: &str) {
+fn e17_serve() {
     use std::io::{BufRead, Write};
     let _ = apcm_netio::sys::raise_nofile_limit();
-    let io_model = if mode.ends_with("threads") {
-        IoModel::Threads
-    } else {
-        IoModel::EventLoop
-    };
     let schema = Schema::uniform(8, 64);
     let config = ServerConfig {
         shards: 2,
         engine: EngineChoice::Apcm,
-        io_model,
         ..ServerConfig::default()
     };
     let server = Server::start(schema, config, "127.0.0.1:0").expect("start e17 broker");
@@ -1887,11 +1880,11 @@ struct ServeChild {
     addr: String,
 }
 
-fn spawn_serve(mode: &str) -> ServeChild {
+fn spawn_serve() -> ServeChild {
     use std::io::BufRead;
     let exe = std::env::current_exe().expect("own executable path");
     let mut child = std::process::Command::new(exe)
-        .args(["--experiment", mode])
+        .args(["--experiment", "e17-serve"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .spawn()
@@ -1993,108 +1986,81 @@ fn e17_netio(args: &Args) {
     let fd_cap = (soft as usize).saturating_sub(1000);
     println!("(RLIMIT_NOFILE soft {soft}, hard {hard} -> per-point cap {fd_cap} conns)\n");
 
-    let models: [(&str, &str); 2] = [
-        ("event-loop", "e17-serve-loop"),
-        ("threads", "e17-serve-threads"),
-    ];
-    let mut table = Table::new(vec!["io model", "idle conns", "server RSS", "MiB/1k conns"]);
-    for (name, mode) in models {
-        let mut baseline_mib = None;
-        for target in [1_000usize, 10_000, 50_000] {
-            let want = ((target as f64 * args.scale).ceil() as usize).clamp(100, target);
-            let conns = want.min(fd_cap);
-            if conns < want {
-                println!("(note: {want} conns capped to {conns} by RLIMIT_NOFILE {soft})");
-            }
-            if name == "threads" && conns > 1_000 {
-                // Two threads per connection makes large idle fleets a
-                // thread-count benchmark, not a memory one; the threaded
-                // baseline stops at 1k.
-                println!("(note: threads model skips {conns} conns — 2 threads/conn)");
-                continue;
-            }
-            let child = spawn_serve(mode);
-            let fleet = e17_fleet(&child.addr, conns);
-            // Let the child's allocator and loop settle before sampling.
-            std::thread::sleep(Duration::from_millis(300));
-            let rss = child.rss_mib();
-            if baseline_mib.is_none() {
-                baseline_mib = Some(rss);
-            }
-            args.record("e17", name, format!("conns={conns}"), "rss_mib", rss);
-            args.record(
-                "e17",
-                name,
-                format!("conns={conns}"),
-                "rss_mib_per_1k_conns",
-                rss / (conns as f64 / 1000.0),
-            );
-            table.row(vec![
-                name.to_string(),
-                format!("{conns}"),
-                format!("{rss:.1} MiB"),
-                format!("{:.2}", rss / (conns as f64 / 1000.0)),
-            ]);
-            drop(fleet);
-            child.stop();
+    let name = "event-loop";
+    let mut table = Table::new(vec!["idle conns", "server RSS", "MiB/1k conns"]);
+    for target in [1_000usize, 10_000, 50_000] {
+        let want = ((target as f64 * args.scale).ceil() as usize).clamp(100, target);
+        let conns = want.min(fd_cap);
+        if conns < want {
+            println!("(note: {want} conns capped to {conns} by RLIMIT_NOFILE {soft})");
         }
+        let child = spawn_serve();
+        let fleet = e17_fleet(&child.addr, conns);
+        // Let the child's allocator and loop settle before sampling.
+        std::thread::sleep(Duration::from_millis(300));
+        let rss = child.rss_mib();
+        args.record("e17", name, format!("conns={conns}"), "rss_mib", rss);
+        args.record(
+            "e17",
+            name,
+            format!("conns={conns}"),
+            "rss_mib_per_1k_conns",
+            rss / (conns as f64 / 1000.0),
+        );
+        table.row(vec![
+            format!("{conns}"),
+            format!("{rss:.1} MiB"),
+            format!("{:.2}", rss / (conns as f64 / 1000.0)),
+        ]);
+        drop(fleet);
+        child.stop();
     }
     table.print();
     println!();
 
     // Latency: a fleet of *active* connections round-robin PINGs the
-    // broker; every round trip is one sample. Identical protocol work
-    // under both I/O models, so the delta is scheduling + wakeup cost.
+    // broker; every round trip is one sample.
     let active = ((1_000f64 * args.scale).ceil() as usize)
         .clamp(100, 1_000)
         .min(fd_cap);
     let rounds = 5usize;
-    let mut latency = Table::new(vec![
-        "io model",
-        "active conns",
-        "p50 us",
-        "p95 us",
-        "p99 us",
-    ]);
-    for (name, mode) in models {
-        let child = spawn_serve(mode);
-        let fleet = e17_fleet(&child.addr, active);
-        let mut samples = Vec::with_capacity(active * rounds);
-        for _ in 0..rounds {
-            for stream in &fleet {
-                let start = Instant::now();
-                {
-                    let mut w = stream;
-                    w.write_all(b"PING\n").expect("send PING");
-                }
-                let reply = read_line_raw(stream);
-                assert_eq!(reply, "+PONG");
-                samples.push(start.elapsed().as_secs_f64() * 1e6);
+    let mut latency = Table::new(vec!["active conns", "p50 us", "p95 us", "p99 us"]);
+    let child = spawn_serve();
+    let fleet = e17_fleet(&child.addr, active);
+    let mut samples = Vec::with_capacity(active * rounds);
+    for _ in 0..rounds {
+        for stream in &fleet {
+            let start = Instant::now();
+            {
+                let mut w = stream;
+                w.write_all(b"PING\n").expect("send PING");
             }
+            let reply = read_line_raw(stream);
+            assert_eq!(reply, "+PONG");
+            samples.push(start.elapsed().as_secs_f64() * 1e6);
         }
-        samples.sort_by(f64::total_cmp);
-        let (p50, p95, p99) = (
-            percentile(&samples, 0.50),
-            percentile(&samples, 0.95),
-            percentile(&samples, 0.99),
-        );
-        for (metric, value) in [
-            ("latency_p50_us", p50),
-            ("latency_p95_us", p95),
-            ("latency_p99_us", p99),
-        ] {
-            args.record("e17", name, format!("conns={active}"), metric, value);
-        }
-        latency.row(vec![
-            name.to_string(),
-            format!("{active}"),
-            format!("{p50:.1}"),
-            format!("{p95:.1}"),
-            format!("{p99:.1}"),
-        ]);
-        drop(fleet);
-        child.stop();
     }
+    samples.sort_by(f64::total_cmp);
+    let (p50, p95, p99) = (
+        percentile(&samples, 0.50),
+        percentile(&samples, 0.95),
+        percentile(&samples, 0.99),
+    );
+    for (metric, value) in [
+        ("latency_p50_us", p50),
+        ("latency_p95_us", p95),
+        ("latency_p99_us", p99),
+    ] {
+        args.record("e17", name, format!("conns={active}"), metric, value);
+    }
+    latency.row(vec![
+        format!("{active}"),
+        format!("{p50:.1}"),
+        format!("{p95:.1}"),
+        format!("{p99:.1}"),
+    ]);
+    drop(fleet);
+    child.stop();
     latency.print();
     println!("(PING round trips, {rounds} rounds over the whole fleet)\n");
 }

@@ -18,12 +18,14 @@
 //!   counters; everything else (`PING`, `QUIT`, `SNAPSHOT`) behaves as a
 //!   client of a standalone server would expect.
 //!
-//! Threading mirrors the server broker's threaded model: an accept
-//! thread (blocked on an `apcm-netio` poller rather than sleep-polling,
-//! with an eventfd waker for instant shutdown), a reader plus writer
-//! thread per client connection, and a health thread running the
-//! membership sweep. Scatter-gather runs on the publishing connection's
-//! reader thread with one scoped thread per live backend.
+//! Threading is thread-per-connection: an accept thread (blocked on an
+//! `apcm-netio` poller rather than sleep-polling, with an eventfd waker
+//! for instant shutdown), a reader plus a writer thread per client
+//! connection, the writer draining that connection's bounded outbound
+//! queue, and a health thread running the membership sweep.
+//! Scatter-gather runs on the publishing connection's reader thread with
+//! one scoped thread per live backend. (The server broker serves its
+//! connections on the netio event loop instead.)
 
 use apcm_bexpr::{Event, Schema, SubId};
 use apcm_encoding::{FixedBitSet, SummarySpace};

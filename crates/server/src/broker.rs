@@ -1,32 +1,18 @@
 //! TCP broker: connection serving, result delivery, background
-//! maintenance, and graceful shutdown — over either of two I/O models
-//! ([`crate::config::IoModel`], no async runtime in either).
+//! maintenance, and graceful shutdown, with no async runtime.
 //!
-//! **Event loop** (the default): the listener and every client
-//! connection are served by the `apcm-netio` readiness loop — a fixed
-//! worker pool multiplexing epoll-driven reads, byte-capped line
-//! framing, bounded per-connection outbound queues flushed on
-//! `EPOLLOUT`, and a timer wheel for idle reaping, with the maintenance
-//! sweep riding the loop's tick hook. Thread count is O(workers), not
-//! O(connections), so tens of thousands of mostly-idle subscribers fit
-//! in one pool.
-//!
-//! **Threads**: the original model, retained as a baseline and
-//! fallback —
-//!
-//! * one **accept** thread polling a non-blocking listener;
-//! * per connection, a **reader** thread and a **writer** thread
-//!   draining the connection's bounded outbound queue — the
-//!   slow-consumer boundary;
-//! * one **maintenance** thread sweeping every shard's `maintain()`, the
-//!   persister's [`Persister::maintenance_tick`], and idle connections.
-//!
-//! Both models funnel every inbound line through the same dispatcher
-//! ([`crate::request::on_conn_line`]), so protocol semantics — reply
-//! text, ack-before-submit ordering, counters, slow-consumer policy —
-//! are byte-identical. The **matcher** thread inside [`IngestPipeline`]
-//! and the outbound replication/reshard pullers ([`ReplicaRunner`],
-//! [`ReshardRunner`]) are dedicated threads in both models.
+//! The listener and every client connection are served by the
+//! `apcm-netio` readiness loop: a fixed worker pool multiplexing
+//! epoll-driven reads, byte-capped line framing, bounded per-connection
+//! outbound queues flushed on `EPOLLOUT`, and a timer wheel for idle
+//! reaping, with the maintenance sweep (every shard's `maintain()` and the
+//! persister's [`Persister::maintenance_tick`]) riding the loop's tick
+//! hook. Thread count is O(workers), not O(connections), so tens of
+//! thousands of mostly-idle subscribers fit in one pool. Every inbound
+//! line goes through one dispatcher ([`crate::request::on_conn_line`]).
+//! The **matcher** thread inside [`IngestPipeline`], the outbound
+//! replication/reshard pullers ([`ReplicaRunner`], [`ReshardRunner`]) and
+//! offloaded blocking requests run on dedicated threads.
 //!
 //! Subscriptions are durable within a run: a closed connection keeps its
 //! subscriptions live (notifications for them are silently discarded until
@@ -35,45 +21,36 @@
 //! acknowledged only after it reaches the append log, and startup restores
 //! the snapshot + log into the engine before the listener opens.
 //!
-//! Inbound hardening: every protocol line is read through a byte-capped
-//! reader (`max_line_bytes`) — an oversized line is discarded up to its
-//! newline and answered with a structured `-ERR`, never buffered
-//! unboundedly. Connections silent for longer than `idle_timeout` are
-//! reaped by the maintenance sweep.
+//! Inbound hardening: every protocol line is framed under a byte cap
+//! (`max_line_bytes`) — an oversized line is discarded up to its newline
+//! and answered with a structured `-ERR`, never buffered unboundedly.
+//! Connections silent for longer than `idle_timeout` are reaped by the
+//! loop's timer wheel.
 
 use apcm_bexpr::{Schema, SubId, Subscription};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use apcm_netio::{LoopHandle, SendOutcome};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::{connect_stream, ConnectOptions};
-use crate::config::{IoModel, ServerConfig, SlowConsumerPolicy};
+use crate::config::{ServerConfig, SlowConsumerPolicy};
 use crate::event_broker::BrokerService;
 use crate::ingest::{IngestItem, IngestPipeline, ResultSink};
 use crate::persist::log::{parse_frame, ReplayOp};
 use crate::persist::{Persister, RecoveryReport};
 use crate::protocol::{self, ReplicateStart};
-use crate::replication::{FollowerConn, Role, RoleState, ThreadedFollower};
-use crate::request::{on_conn_line, ConnCtx, ConnState, Flow, LineInput};
+use crate::replication::{Role, RoleState};
+use crate::request::ConnCtx;
 use crate::ring::RingScope;
 use crate::shard::ShardedEngine;
 use crate::stats::ServerStats;
-
-/// Outbound handle for one threaded-mode connection.
-pub(crate) struct ConnHandle {
-    out: Sender<String>,
-    stream: TcpStream,
-    /// Milliseconds since the server epoch of the last inbound line; the
-    /// idle sweep compares this against `idle_timeout`.
-    activity: Arc<AtomicU64>,
-}
 
 /// Compact fingerprint of a subscription's expression, used to decide
 /// whether a duplicate `SUB` is a reconnect offering the byte-identical
@@ -131,24 +108,17 @@ fn decode_bootstrap_block(line: &str, schema: &Schema) -> Result<Vec<Subscriptio
         .collect()
 }
 
-/// How outbound lines reach their connection: the threaded broker's
-/// per-connection queue/registry, or the event loop's handle. Settled at
-/// startup from [`IoModel`]; the loop variant is a `OnceLock` because the
-/// hub must exist (the ingest pipeline sinks into it) before the loop —
-/// which needs the hub via its service — can start.
-pub(crate) enum Delivery {
-    Threads(Mutex<HashMap<u64, ConnHandle>>),
-    Loop(OnceLock<Arc<apcm_netio::LoopHandle>>),
-}
-
-/// State shared by every thread: the registry of live connections and
-/// subscription ownership, plus delivery policy. Doubles as the ingest
-/// pipeline's [`ResultSink`].
+/// State shared by every thread: the event loop's handle, subscription
+/// ownership, and delivery policy. Doubles as the ingest pipeline's
+/// [`ResultSink`].
 pub(crate) struct Hub {
     pub(crate) schema: Schema,
     pub(crate) stats: Arc<ServerStats>,
     policy: SlowConsumerPolicy,
-    pub(crate) delivery: Delivery,
+    /// How outbound lines reach their connection. A `OnceLock` because
+    /// the hub must exist (the ingest pipeline sinks into it) before the
+    /// loop, which needs the hub via its service, can start.
+    pub(crate) handle: OnceLock<Arc<LoopHandle>>,
     /// Which connection owns (receives `EVENT` notifications for) each id.
     pub(crate) owners: RwLock<HashMap<SubId, u64>>,
     /// Fingerprint of every live subscription's expression (seeded from
@@ -169,95 +139,45 @@ impl Hub {
     /// slow-consumer policy on overflow. Unknown connections (already
     /// closed) discard silently.
     pub(crate) fn push_line(&self, conn_id: u64, line: String) {
-        match &self.delivery {
-            Delivery::Threads(registry) => {
-                let mut conns = registry.lock();
-                let Some(handle) = conns.get(&conn_id) else {
-                    return;
-                };
-                match handle.out.try_send(line) {
-                    Ok(()) => {
-                        ServerStats::add(&self.stats.replies_sent, 1);
-                    }
-                    Err(TrySendError::Full(_)) => match self.policy {
-                        SlowConsumerPolicy::Drop => {
-                            ServerStats::add(&self.stats.replies_dropped, 1);
-                        }
-                        SlowConsumerPolicy::Disconnect => {
-                            ServerStats::add(&self.stats.slow_disconnects, 1);
-                            let handle = conns.remove(&conn_id).expect("checked above");
-                            // Reader unblocks on the socket shutdown and
-                            // cleans up; the writer exits once the last
-                            // queue sender drops.
-                            let _ = handle.stream.shutdown(Shutdown::Both);
-                        }
-                    },
-                    Err(TrySendError::Disconnected(_)) => {
-                        conns.remove(&conn_id);
-                    }
-                }
-            }
-            Delivery::Loop(cell) => {
-                let Some(handle) = cell.get() else {
-                    return;
-                };
-                match handle.try_send(conn_id, line) {
-                    apcm_netio::SendOutcome::Sent => {
-                        ServerStats::add(&self.stats.replies_sent, 1);
-                    }
-                    apcm_netio::SendOutcome::Full => match self.policy {
-                        SlowConsumerPolicy::Drop => {
-                            ServerStats::add(&self.stats.replies_dropped, 1);
-                        }
-                        SlowConsumerPolicy::Disconnect => {
-                            ServerStats::add(&self.stats.slow_disconnects, 1);
-                            handle.kick(conn_id);
-                        }
-                    },
-                    apcm_netio::SendOutcome::Gone => {}
-                }
-            }
-        }
-    }
-
-    /// The threaded connection registry; `None` in event-loop mode.
-    fn thread_conns(&self) -> Option<&Mutex<HashMap<u64, ConnHandle>>> {
-        match &self.delivery {
-            Delivery::Threads(registry) => Some(registry),
-            Delivery::Loop(_) => None,
-        }
-    }
-
-    /// Shuts down connections idle longer than `timeout` (threaded mode;
-    /// the event loop's timer wheel reaps its own). The socket shutdown
-    /// unblocks the reader, which then deregisters itself.
-    fn reap_idle(&self, epoch: Instant, timeout: Duration) {
-        let Some(registry) = self.thread_conns() else {
+        let Some(handle) = self.handle.get() else {
             return;
         };
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        let limit_ms = timeout.as_millis() as u64;
-        let mut conns = registry.lock();
-        conns.retain(|_, handle| {
-            let idle = now_ms.saturating_sub(handle.activity.load(Ordering::Relaxed));
-            if idle > limit_ms {
-                ServerStats::add(&self.stats.idle_reaped, 1);
-                let _ = handle.stream.shutdown(Shutdown::Both);
-                false
-            } else {
-                true
+        match handle.try_send(conn_id, line) {
+            SendOutcome::Sent => {
+                ServerStats::add(&self.stats.replies_sent, 1);
             }
-        });
+            SendOutcome::Full => match self.policy {
+                SlowConsumerPolicy::Drop => {
+                    ServerStats::add(&self.stats.replies_dropped, 1);
+                }
+                SlowConsumerPolicy::Disconnect => {
+                    ServerStats::add(&self.stats.slow_disconnects, 1);
+                    handle.kick(conn_id);
+                }
+            },
+            SendOutcome::Gone => {}
+        }
+    }
+
+    /// Queues a control reply (an ack or a request's answer) on the
+    /// connection's uncapped path: replies are never dropped, and a loop
+    /// worker never stalls on one connection's queue, which `EPOLLOUT`
+    /// drains regardless.
+    pub(crate) fn reply(&self, conn_id: u64, line: String) {
+        if let Some(handle) = self.handle.get() {
+            let _ = handle.send(conn_id, line);
+            ServerStats::add(&self.stats.replies_sent, 1);
+        }
     }
 
     /// Event-loop gauges for `STATS` rendering, in the order
     /// [`ServerStats::render`] expects: `(connections_open,
-    /// epoll_wakeups, outbound_queued_lines, conns_rejected)`. `None` in
-    /// threaded mode (the keys are elided entirely).
-    pub(crate) fn netio_gauges(&self) -> Option<(u64, u64, u64, u64)> {
-        match &self.delivery {
-            Delivery::Threads(_) => None,
-            Delivery::Loop(cell) => cell.get().map(|handle| {
+    /// epoll_wakeups, outbound_queued_lines, conns_rejected)`; zeros
+    /// before the loop has started.
+    pub(crate) fn netio_gauges(&self) -> (u64, u64, u64, u64) {
+        self.handle
+            .get()
+            .map(|handle| {
                 let m = handle.metrics();
                 (
                     m.connections_open.load(Ordering::Relaxed),
@@ -265,8 +185,8 @@ impl Hub {
                     m.outbound_queued_lines.load(Ordering::Relaxed),
                     m.conns_rejected.load(Ordering::Relaxed),
                 )
-            }),
-        }
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -367,11 +287,9 @@ pub struct Server {
     role: Arc<RoleState>,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Threaded mode only; the event loop owns its own listener.
-    accept_thread: Option<JoinHandle<()>>,
-    /// Threaded mode only; the event loop's tick hook does this work.
-    maintenance_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Replication/reshard pullers and offloaded blocking requests,
+    /// joined at teardown.
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     pipeline: Option<IngestPipeline>,
     event_loop: Option<apcm_netio::EventLoop>,
 }
@@ -406,10 +324,7 @@ impl Server {
                 // Recovered subscriptions have no owning connection yet;
                 // seeding their fingerprints is what lets a reconnecting
                 // client CLAIM them (or re-SUB the identical expression).
-                recovered_live = restored
-                    .iter()
-                    .map(|sub| (sub.id(), sub_fingerprint(sub)))
-                    .collect();
+                recovered_live = fingerprints(&restored);
                 Some(Arc::new(persister))
             }
             None => None,
@@ -419,10 +334,7 @@ impl Server {
             schema,
             stats: stats.clone(),
             policy: config.slow_consumer,
-            delivery: match config.io_model {
-                IoModel::Threads => Delivery::Threads(Mutex::new(HashMap::new())),
-                IoModel::EventLoop => Delivery::Loop(OnceLock::new()),
-            },
+            handle: OnceLock::new(),
             owners: RwLock::new(HashMap::new()),
             live: RwLock::new(recovered_live),
             ownership: RwLock::new(None),
@@ -430,13 +342,10 @@ impl Server {
         let pipeline = IngestPipeline::start(engine.clone(), stats.clone(), hub.clone(), &config);
 
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let ingest_tx = pipeline.sender();
-        let epoch = Instant::now();
+        let helper_threads = Arc::new(Mutex::new(Vec::new()));
 
         let role = Arc::new(RoleState::new(match &config.replica_of {
             Some(primary) => Role::Replica {
@@ -454,7 +363,7 @@ impl Server {
                 persist: persist.clone(),
                 role: role.clone(),
                 shutdown: shutdown.clone(),
-                conn_threads: conn_threads.clone(),
+                helper_threads: helper_threads.clone(),
                 ack_every: config.repl_ack_every,
             })
         });
@@ -464,7 +373,7 @@ impl Server {
                 engine: engine.clone(),
                 persist: persist.clone(),
                 shutdown: shutdown.clone(),
-                conn_threads: conn_threads.clone(),
+                helper_threads: helper_threads.clone(),
                 ack_every: config.repl_ack_every,
                 generation: AtomicU64::new(0),
                 target: Mutex::new(None),
@@ -482,174 +391,33 @@ impl Server {
                 .spawn(role.generation());
         }
 
-        let (accept_thread, maintenance_thread, event_loop) = match config.io_model {
-            IoModel::EventLoop => {
-                // Blocking-request escape hatch: runs the job on a
-                // short-lived thread (joined with the pullers at
-                // teardown) and queues its reply on the connection's
-                // uncapped control path, exactly like an inline reply.
-                let offload = {
-                    let hub = hub.clone();
-                    let conn_threads = conn_threads.clone();
-                    Arc::new(move |conn_id: u64, job: crate::request::BlockingJob| {
-                        let hub = hub.clone();
-                        let handle = std::thread::Builder::new()
-                            .name("apcm-blocking".into())
-                            .spawn(move || {
-                                let text = job();
-                                if let Delivery::Loop(cell) = &hub.delivery {
-                                    if let Some(loop_handle) = cell.get() {
-                                        let _ = loop_handle.send(conn_id, text);
-                                        ServerStats::add(&hub.stats.replies_sent, 1);
-                                    }
-                                }
-                            })
-                            .expect("spawning blocking-request thread");
-                        conn_threads.lock().push(handle);
-                    })
-                };
-                let ctx = ConnCtx {
-                    hub: hub.clone(),
-                    engine: engine.clone(),
-                    persist: persist.clone(),
-                    ingest: ingest_tx.clone(),
-                    ingest_depth: pipeline.depth_handle(),
-                    epoch,
-                    max_line_bytes: config.max_line_bytes,
-                    role: role.clone(),
-                    runner: runner.clone(),
-                    reshard: reshard.clone(),
-                    offload: Some(offload),
-                };
-                let options = apcm_netio::LoopOptions {
-                    workers: config
-                        .loop_workers
-                        .unwrap_or_else(apcm_netio::default_workers),
-                    conn_queue: config.conn_queue,
-                    max_line_bytes: config.max_line_bytes,
-                    idle_timeout: config.idle_timeout,
-                    max_conns: config.max_conns,
-                    reject_line: Some("-ERR server busy".into()),
-                    tick_interval: Some(config.maintenance_interval),
-                    read_chunk: 64 * 1024,
-                };
-                let el = apcm_netio::EventLoop::start(
-                    listener,
-                    Arc::new(BrokerService::new(ctx)),
-                    options,
-                )?;
-                if let Delivery::Loop(cell) = &hub.delivery {
-                    let _ = cell.set(el.handle());
-                }
-                (None, None, Some(el))
-            }
-            IoModel::Threads => {
-                let accept_thread = {
-                    let hub = hub.clone();
-                    let engine = engine.clone();
-                    let persist = persist.clone();
-                    let stats = stats.clone();
-                    let shutdown = shutdown.clone();
-                    let conn_threads = conn_threads.clone();
-                    let role = role.clone();
-                    let runner = runner.clone();
-                    let reshard = reshard.clone();
-                    let conn_queue = config.conn_queue;
-                    let max_line_bytes = config.max_line_bytes;
-                    let max_conns = config.max_conns;
-                    let ingest_depth = pipeline.depth_handle();
-                    std::thread::Builder::new()
-                        .name("apcm-accept".into())
-                        .spawn(move || {
-                            let mut next_conn = 1u64;
-                            while !shutdown.load(Ordering::SeqCst) {
-                                match listener.accept() {
-                                    Ok((stream, _peer)) => {
-                                        let busy = max_conns.is_some_and(|max| {
-                                            ServerStats::get(&stats.conns_active) as usize >= max
-                                        });
-                                        if busy {
-                                            // Answered inline: the refused
-                                            // connection never gets threads
-                                            // or a registry slot.
-                                            ServerStats::add(&stats.conns_rejected, 1);
-                                            let _ = (&stream).write_all(b"-ERR server busy\n");
-                                            let _ = stream.shutdown(Shutdown::Both);
-                                            continue;
-                                        }
-                                        let conn_id = next_conn;
-                                        next_conn += 1;
-                                        ServerStats::add(&stats.conns_total, 1);
-                                        ServerStats::add(&stats.conns_active, 1);
-                                        let ctx = Arc::new(ConnCtx {
-                                            hub: hub.clone(),
-                                            engine: engine.clone(),
-                                            persist: persist.clone(),
-                                            ingest: ingest_tx.clone(),
-                                            ingest_depth: ingest_depth.clone(),
-                                            epoch,
-                                            max_line_bytes,
-                                            role: role.clone(),
-                                            runner: runner.clone(),
-                                            reshard: reshard.clone(),
-                                            offload: None,
-                                        });
-                                        spawn_connection(
-                                            ctx,
-                                            stream,
-                                            conn_id,
-                                            conn_queue,
-                                            &conn_threads,
-                                        );
-                                    }
-                                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                        std::thread::sleep(Duration::from_millis(5));
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                        })
-                        .expect("spawning accept thread")
-                };
-
-                let maintenance_thread = {
-                    let hub = hub.clone();
-                    let engine = engine.clone();
-                    let persist = persist.clone();
-                    let stats = stats.clone();
-                    let shutdown = shutdown.clone();
-                    let interval = config.maintenance_interval;
-                    let idle_timeout = config.idle_timeout;
-                    std::thread::Builder::new()
-                        .name("apcm-maintenance".into())
-                        .spawn(move || {
-                            // Sleep in small quanta so shutdown latency stays
-                            // bounded regardless of the maintenance interval.
-                            let quantum = Duration::from_millis(20).min(interval);
-                            'outer: loop {
-                                let mut waited = Duration::ZERO;
-                                while waited < interval {
-                                    if shutdown.load(Ordering::SeqCst) {
-                                        break 'outer;
-                                    }
-                                    std::thread::sleep(quantum);
-                                    waited += quantum;
-                                }
-                                let report = engine.maintain();
-                                stats.record_maintenance(&report);
-                                if let Some(persister) = &persist {
-                                    persister.maintenance_tick();
-                                }
-                                if let Some(timeout) = idle_timeout {
-                                    hub.reap_idle(epoch, timeout);
-                                }
-                            }
-                        })
-                        .expect("spawning maintenance thread")
-                };
-                (Some(accept_thread), Some(maintenance_thread), None)
-            }
+        let ctx = ConnCtx {
+            hub: hub.clone(),
+            engine: engine.clone(),
+            persist: persist.clone(),
+            ingest: pipeline.sender(),
+            ingest_depth: pipeline.depth_handle(),
+            max_line_bytes: config.max_line_bytes,
+            role: role.clone(),
+            runner,
+            reshard,
+            helper_threads: helper_threads.clone(),
         };
+        let options = apcm_netio::LoopOptions {
+            workers: config
+                .loop_workers
+                .unwrap_or_else(apcm_netio::default_workers),
+            conn_queue: config.conn_queue,
+            max_line_bytes: config.max_line_bytes,
+            idle_timeout: config.idle_timeout,
+            max_conns: config.max_conns,
+            reject_line: Some("-ERR server busy".into()),
+            tick_interval: Some(config.maintenance_interval),
+            read_chunk: 64 * 1024,
+        };
+        let event_loop =
+            apcm_netio::EventLoop::start(listener, Arc::new(BrokerService::new(ctx)), options)?;
+        let _ = hub.handle.set(event_loop.handle());
 
         Ok(Server {
             hub,
@@ -659,11 +427,9 @@ impl Server {
             role,
             addr: local_addr,
             shutdown,
-            accept_thread,
-            maintenance_thread,
-            conn_threads,
+            helper_threads,
             pipeline: Some(pipeline),
-            event_loop,
+            event_loop: Some(event_loop),
         })
     }
 
@@ -718,30 +484,13 @@ impl Server {
     fn teardown(&mut self) -> usize {
         self.shutdown.store(true, Ordering::SeqCst);
 
-        if let Some(t) = self.maintenance_thread.take() {
-            let _ = t.join(); // exits within one sleep quantum
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join(); // exits within one poll interval
-        }
-
-        // Event-loop mode: closes every loop-served connection, joins the
-        // worker pool, and drops the service — releasing its ingest
-        // sender so the matcher below can drain to completion.
+        // Closes every connection, joins the worker pool, and drops the
+        // service — releasing its ingest sender so the matcher below can
+        // drain to completion.
         if let Some(el) = self.event_loop.take() {
             el.shutdown();
         }
-
-        // Threaded mode: closing the sockets unblocks every reader;
-        // readers drop their ingest senders and outbound queue handles on
-        // the way out.
-        if let Some(registry) = self.hub.thread_conns() {
-            let conns = registry.lock();
-            for handle in conns.values() {
-                let _ = handle.stream.shutdown(Shutdown::Both);
-            }
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conn_threads.lock());
+        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.helper_threads.lock());
         for t in handles {
             let _ = t.join();
         }
@@ -758,8 +507,7 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, close every connection, join all
     /// worker threads, drain the ingest pipeline, flush the durable log,
-    /// and return the final rendered stats. Bounded: sockets are shut down
-    /// before joining, so no thread is left blocked on I/O.
+    /// and return the final rendered stats.
     pub fn shutdown(mut self) -> String {
         let depth = self.teardown();
         if let Some(persister) = &self.persist {
@@ -803,20 +551,20 @@ pub(crate) struct ReplicaRunner {
     persist: Arc<Persister>,
     role: Arc<RoleState>,
     shutdown: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     ack_every: u64,
 }
 
 impl ReplicaRunner {
     /// Starts a puller for role `generation`; the handle joins with the
-    /// connection threads at shutdown.
+    /// other helper threads at shutdown.
     pub(crate) fn spawn(self: Arc<Self>, generation: u64) {
         let runner = self.clone();
         let handle = std::thread::Builder::new()
             .name(format!("apcm-replica-g{generation}"))
             .spawn(move || runner.run(generation))
             .expect("spawning replica puller");
-        self.conn_threads.lock().push(handle);
+        self.helper_threads.lock().push(handle);
     }
 
     /// The primary to follow, or `None` once this puller is obsolete
@@ -879,12 +627,10 @@ impl ReplicaRunner {
     /// current applied seq — so every exit path is also the repair path.
     fn follow(&self, generation: u64, stream: TcpStream, force_reset: &mut bool) {
         let stats = &self.hub.stats;
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
+        let live = || self.primary(generation).is_some();
+        let Some(mut pull) = PullStream::new(stream) else {
+            return;
         };
-        let mut reader = BufReader::new(stream);
-        let mut pending = String::new();
         let mut applied = self.persist.current_seq();
         // `v2` advertises that this follower can decode a compressed
         // colstore bootstrap; a primary on the text snapshot format still
@@ -895,16 +641,11 @@ impl ReplicaRunner {
         } else {
             ""
         };
-        if writer
-            .write_all(format!("REPLICATE {applied} v2{reset}\n").as_bytes())
-            .is_err()
-        {
+        if !pull.send(&format!("REPLICATE {applied} v2{reset}")) {
             return;
         }
 
-        let Some(header) =
-            self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-        else {
+        let Some(header) = pull.next_line(applied, &live) else {
             return;
         };
         let start = match protocol::parse_replicate_header(&header) {
@@ -913,110 +654,38 @@ impl ReplicaRunner {
             Err(_) => return,
         };
 
+        if let ReplicateStart::Truncate { seq, crc } = start {
+            // Covered-suffix rewind: our history is ahead of the
+            // primary's (an unacked suffix from an old promotion).
+            // Verify our own frame at `seq` carries the CRC the
+            // primary announced; a match proves the histories agree
+            // up to `seq`, so the suffix can be discarded locally
+            // with zero transferred state. A mismatch (or a missing
+            // frame) means divergence — redial with `reset` for the
+            // wholesale bootstrap.
+            if self.persist.local_frame_crc(seq) != Some(crc) {
+                *force_reset = true;
+                return;
+            }
+            let Ok(subs) = self.persist.rewind_to(&self.engine, seq) else {
+                *force_reset = true;
+                return;
+            };
+            self.install_live(fingerprints(&subs));
+            applied = seq;
+            stats.repl_applied_seq.store(applied, Ordering::Relaxed);
+            if !pull.ack(applied) {
+                return;
+            }
+        }
         // Full bootstrap (either form): our log position is useless to
         // the primary (predates its retained log, or is ahead of it after
-        // a failed promote). Collect the whole catalog image first; any
-        // corrupt frame or block poisons the image, so abort and redial —
-        // the refetch starts from scratch, skipping nothing — rather than
-        // install a catalog with holes.
-        let bootstrap: Option<(Vec<Subscription>, u64)> = match start {
-            ReplicateStart::Log { .. } => None,
-            ReplicateStart::Snapshot { subs: count, seq } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-                    else {
-                        return;
-                    };
-                    match parse_frame(&line, &self.hub.schema) {
-                        Ok(record) => match record.op {
-                            ReplayOp::Sub(sub) => subs.push(sub),
-                            ReplayOp::Unsub(_) => return,
-                        },
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Colstore {
-                blocks,
-                subs: count,
-                seq,
-            } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..blocks {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-                    else {
-                        return;
-                    };
-                    match decode_bootstrap_block(&line, &self.hub.schema) {
-                        Ok(mut block_subs) => subs.append(&mut block_subs),
-                        Err(_) => {
-                            // CRC/format damage on the wire: counted like
-                            // a corrupt streamed frame, connection dropped,
-                            // whole bootstrap refetched on reconnect.
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                if subs.len() != count {
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Truncate { seq, crc } => {
-                // Covered-suffix rewind: our history is ahead of the
-                // primary's (an unacked suffix from an old promotion).
-                // Verify our own frame at `seq` carries the CRC the
-                // primary announced; a match proves the histories agree
-                // up to `seq`, so the suffix can be discarded locally
-                // with zero transferred state. A mismatch (or a missing
-                // frame) means divergence — redial with `reset` for the
-                // wholesale bootstrap.
-                if self.persist.local_frame_crc(seq) != Some(crc) {
-                    *force_reset = true;
-                    return;
-                }
-                match self.persist.rewind_to(&self.engine, seq) {
-                    Ok(subs) => {
-                        let fresh: HashMap<SubId, u64> = subs
-                            .iter()
-                            .map(|sub| (sub.id(), sub_fingerprint(sub)))
-                            .collect();
-                        self.hub
-                            .owners
-                            .write()
-                            .retain(|id, _| fresh.contains_key(id));
-                        *self.hub.live.write() = fresh;
-                        applied = seq;
-                        stats.repl_applied_seq.store(applied, Ordering::Relaxed);
-                        if writer
-                            .write_all(format!("REPLACK {applied}\n").as_bytes())
-                            .is_err()
-                        {
-                            return;
-                        }
-                        None
-                    }
-                    Err(_) => {
-                        *force_reset = true;
-                        return;
-                    }
-                }
-            }
+        // a failed promote), so the whole catalog image replaces ours.
+        let Ok(bootstrap) = pull.read_bootstrap(start, applied, &live, &self.hub) else {
+            return;
         };
         if let Some((subs, seq)) = bootstrap {
-            let fresh: HashMap<SubId, u64> = subs
-                .iter()
-                .map(|sub| (sub.id(), sub_fingerprint(sub)))
-                .collect();
+            let fresh = fingerprints(&subs);
             if self
                 .persist
                 .bootstrap_replace(&self.engine, subs, seq)
@@ -1024,18 +693,11 @@ impl ReplicaRunner {
             {
                 return;
             }
-            // The engine + catalog were swapped wholesale; mirror that in
-            // the hub so CLAIM liveness and notification routing agree
-            // with what is actually matchable.
-            self.hub
-                .owners
-                .write()
-                .retain(|id, _| fresh.contains_key(id));
-            *self.hub.live.write() = fresh;
+            self.install_live(fresh);
             applied = seq;
             stats.repl_applied_seq.store(applied, Ordering::Relaxed);
             ServerStats::add(&stats.repl_bootstraps, 1);
-            let _ = writer.write_all(format!("REPLACK {applied}\n").as_bytes());
+            let _ = pull.ack(applied);
         }
         // Flip the gauge only now that any bootstrap/rewind has resolved:
         // `connected 1` in this node's `ROLE` report certifies "history
@@ -1046,9 +708,7 @@ impl ReplicaRunner {
 
         let mut since_ack = 0u64;
         loop {
-            let Some(line) =
-                self.next_line(generation, &mut reader, &mut pending, &mut writer, applied)
-            else {
+            let Some(line) = pull.next_line(applied, &live) else {
                 return;
             };
             let record = match parse_frame(&line, &self.hub.schema) {
@@ -1085,16 +745,12 @@ impl ReplicaRunner {
                     // same drain, so hold the ack and send one line at
                     // the drain boundary — `ack_every` caps how long a
                     // continuous burst can go unacknowledged.
-                    let more_buffered = burst_continues(&mut reader);
-                    if since_ack >= self.ack_every || !more_buffered {
+                    if since_ack >= self.ack_every || !pull.burst_continues() {
                         if since_ack > 1 {
                             ServerStats::add(&stats.replacks_pipelined, 1);
                         }
                         since_ack = 0;
-                        if writer
-                            .write_all(format!("REPLACK {applied}\n").as_bytes())
-                            .is_err()
-                        {
+                        if !pull.ack(applied) {
                             return;
                         }
                     }
@@ -1109,26 +765,73 @@ impl ReplicaRunner {
         }
     }
 
+    /// Mirrors a wholesale engine + catalog swap (bootstrap or rewind) in
+    /// the hub, so CLAIM liveness and notification routing agree with
+    /// what is actually matchable.
+    fn install_live(&self, fresh: HashMap<SubId, u64>) {
+        self.hub
+            .owners
+            .write()
+            .retain(|id, _| fresh.contains_key(id));
+        *self.hub.live.write() = fresh;
+    }
+}
+
+/// Fingerprint of every subscription in a catalog image, keyed by id (the
+/// shape of [`Hub::live`]).
+fn fingerprints(subs: &[Subscription]) -> HashMap<SubId, u64> {
+    subs.iter()
+        .map(|sub| (sub.id(), sub_fingerprint(sub)))
+        .collect()
+}
+
+/// The pulling side of one `REPLICATE` connection, shared by
+/// [`ReplicaRunner`] and [`ReshardRunner`]: a buffered reader that
+/// tolerates read-timeout ticks, and the write half that carries the
+/// handshake and `REPLACK`s.
+struct PullStream {
+    reader: BufReader<TcpStream>,
+    /// A partial line carried across read-timeout ticks.
+    pending: String,
+    writer: TcpStream,
+}
+
+impl PullStream {
+    fn new(stream: TcpStream) -> Option<Self> {
+        let writer = stream.try_clone().ok()?;
+        Some(PullStream {
+            reader: BufReader::new(stream),
+            pending: String::new(),
+            writer,
+        })
+    }
+
+    /// Writes one protocol line; `false` means the stream is gone.
+    fn send(&mut self, line: &str) -> bool {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .is_ok()
+    }
+
+    fn ack(&mut self, seq: u64) -> bool {
+        self.send(&format!("REPLACK {seq}"))
+    }
+
     /// Reads the next complete line, tolerating read-timeout ticks. Each
-    /// idle tick re-checks the stop conditions and sends a keepalive
-    /// `REPLACK` so the primary's lag gauge stays fresh. `None` means the
-    /// stream ended or this puller should stop.
-    fn next_line(
-        &self,
-        generation: u64,
-        reader: &mut BufReader<TcpStream>,
-        pending: &mut String,
-        writer: &mut TcpStream,
-        applied: u64,
-    ) -> Option<String> {
+    /// idle tick re-checks `live` and sends a keepalive `REPLACK <ack>`
+    /// so the upstream's lag gauge stays fresh. `None` means the stream
+    /// ended or this puller should stop.
+    fn next_line(&mut self, ack: u64, live: &dyn Fn() -> bool) -> Option<String> {
         loop {
-            self.primary(generation)?;
-            match reader.read_line(pending) {
+            if !live() {
+                return None;
+            }
+            match self.reader.read_line(&mut self.pending) {
                 Ok(0) => return None,
                 Ok(_) => {
-                    if pending.ends_with('\n') {
-                        let line = pending.trim_end().to_string();
-                        pending.clear();
+                    if self.pending.ends_with('\n') {
+                        let line = self.pending.trim_end().to_string();
+                        self.pending.clear();
                         return Some(line);
                     }
                     // Unterminated tail: EOF follows on the next read.
@@ -1139,10 +842,7 @@ impl ReplicaRunner {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if writer
-                        .write_all(format!("REPLACK {applied}\n").as_bytes())
-                        .is_err()
-                    {
+                    if !self.ack(ack) {
                         return None;
                     }
                 }
@@ -1150,29 +850,88 @@ impl ReplicaRunner {
             }
         }
     }
-}
 
-/// Whether the replication burst being drained continues: another frame
-/// is already buffered, or the kernel socket buffer has more bytes ready
-/// right now. The `BufReader` buffer alone is not a drain boundary — a
-/// burst larger than one buffer fill (8KB default) looks "drained" at
-/// every buffer edge, which would ack far more often than `ack_every`
-/// intends — so when the buffer is quiet, peek the socket with a
-/// momentary non-blocking fill: `WouldBlock` is the genuine boundary.
-fn burst_continues(reader: &mut BufReader<TcpStream>) -> bool {
-    if reader.buffer().contains(&b'\n') {
-        return true;
+    /// Collects the whole catalog image a bootstrap handshake announces
+    /// (`snapshot` frames or colstore `BLOCK`s); `Ok(None)` for the forms
+    /// that carry none (log tail, truncate). Any corrupt frame or block
+    /// poisons the image: it is counted in `repl_crc_skipped`, and `Err`
+    /// tells the caller to drop the connection so the redial refetches
+    /// the image from scratch, skipping nothing, rather than install a
+    /// catalog with holes.
+    fn read_bootstrap(
+        &mut self,
+        start: ReplicateStart,
+        ack: u64,
+        live: &dyn Fn() -> bool,
+        hub: &Hub,
+    ) -> Result<Option<(Vec<Subscription>, u64)>, ()> {
+        let skipped = || ServerStats::add(&hub.stats.repl_crc_skipped, 1);
+        match start {
+            ReplicateStart::Log { .. } | ReplicateStart::Truncate { .. } => Ok(None),
+            ReplicateStart::Snapshot { subs: count, seq } => {
+                let mut subs = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let line = self.next_line(ack, live).ok_or(())?;
+                    match parse_frame(&line, &hub.schema) {
+                        Ok(record) => match record.op {
+                            ReplayOp::Sub(sub) => subs.push(sub),
+                            ReplayOp::Unsub(_) => return Err(()),
+                        },
+                        Err(_) => {
+                            skipped();
+                            return Err(());
+                        }
+                    }
+                }
+                Ok(Some((subs, seq)))
+            }
+            ReplicateStart::Colstore {
+                blocks,
+                subs: count,
+                seq,
+            } => {
+                let mut subs = Vec::with_capacity(count);
+                for _ in 0..blocks {
+                    let line = self.next_line(ack, live).ok_or(())?;
+                    // CRC/format damage on the wire is counted like a
+                    // corrupt streamed frame.
+                    let mut block_subs =
+                        decode_bootstrap_block(&line, &hub.schema).map_err(|_| skipped())?;
+                    subs.append(&mut block_subs);
+                }
+                if subs.len() != count {
+                    skipped();
+                    return Err(());
+                }
+                Ok(Some((subs, seq)))
+            }
+        }
     }
-    // A non-empty buffer without a newline is a torn frame: its tail is
-    // in flight, so the fill below reports the burst continuing (either
-    // from fresh bytes or the buffered remainder) and the ack holds —
-    // the idle keepalive still bounds how long that can last.
-    if reader.get_ref().set_nonblocking(true).is_err() {
-        return false;
+
+    /// Whether the replication burst being drained continues: another
+    /// frame is already buffered, or the kernel socket buffer has more
+    /// bytes ready right now. The `BufReader` buffer alone is not a drain
+    /// boundary — a burst larger than one buffer fill (8KB default) looks
+    /// "drained" at every buffer edge, which would ack far more often
+    /// than `ack_every` intends — so when the buffer is quiet, peek the
+    /// socket with a momentary non-blocking fill: `WouldBlock` is the
+    /// genuine boundary.
+    fn burst_continues(&mut self) -> bool {
+        let reader = &mut self.reader;
+        if reader.buffer().contains(&b'\n') {
+            return true;
+        }
+        // A non-empty buffer without a newline is a torn frame: its tail
+        // is in flight, so the fill below reports the burst continuing
+        // (either from fresh bytes or the buffered remainder) and the ack
+        // holds — the idle keepalive still bounds how long that can last.
+        if reader.get_ref().set_nonblocking(true).is_err() {
+            return false;
+        }
+        let ready = matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty());
+        let _ = reader.get_ref().set_nonblocking(false);
+        ready
     }
-    let ready = matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty());
-    let _ = reader.get_ref().set_nonblocking(false);
-    ready
 }
 
 /// What a `RESHARD PULL` told us to migrate: the donor to dial, the ring
@@ -1208,7 +967,7 @@ pub(crate) struct ReshardRunner {
     engine: Arc<ShardedEngine>,
     persist: Arc<Persister>,
     shutdown: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     ack_every: u64,
     /// Bumped by every `PULL`/`CUTOFF`/`DEMOTE`; a puller thread tagged
     /// with an older generation notices and exits — cutover needs no
@@ -1252,7 +1011,7 @@ impl ReshardRunner {
             .name(format!("apcm-reshard-g{generation}"))
             .spawn(move || runner.run(generation))
             .expect("spawning reshard puller");
-        self.conn_threads.lock().push(handle);
+        self.helper_threads.lock().push(handle);
     }
 
     /// `RESHARD CUTOFF` (or demotion): stop pulling. The applied catalog
@@ -1374,30 +1133,20 @@ impl ReshardRunner {
     fn follow(&self, generation: u64, target: &PullTarget, stream: TcpStream) {
         let stats = &self.hub.stats;
         let scope = &target.scope;
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
+        let live = || self.live(generation);
+        let Some(mut pull) = PullStream::new(stream) else {
+            return;
         };
-        let mut reader = BufReader::new(stream);
-        let mut pending = String::new();
         let mut cursor = self.cursor.load(Ordering::SeqCst);
-        if writer
-            .write_all(
-                format!(
-                    "REPLICATE {cursor} v2 ring {} {}\n",
-                    scope.ring().to_csv(),
-                    scope.keep_csv()
-                )
-                .as_bytes(),
-            )
-            .is_err()
-        {
+        if !pull.send(&format!(
+            "REPLICATE {cursor} v2 ring {} {}",
+            scope.ring().to_csv(),
+            scope.keep_csv()
+        )) {
             return;
         }
 
-        let Some(header) =
-            self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-        else {
+        let Some(header) = pull.next_line(cursor, &live) else {
             return;
         };
         let start = match protocol::parse_replicate_header(&header) {
@@ -1406,61 +1155,15 @@ impl ReshardRunner {
         };
         self.connected.store(1, Ordering::Relaxed);
 
-        // Bootstrap forms mirror ReplicaRunner: collect the whole image,
-        // abort on any damage, and only then touch local state.
-        let bootstrap: Option<(Vec<Subscription>, u64)> = match start {
-            ReplicateStart::Log { .. } => None,
-            ReplicateStart::Snapshot { subs: count, seq } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-                    else {
-                        return;
-                    };
-                    match parse_frame(&line, &self.hub.schema) {
-                        Ok(record) => match record.op {
-                            ReplayOp::Sub(sub) => subs.push(sub),
-                            ReplayOp::Unsub(_) => return,
-                        },
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                Some((subs, seq))
-            }
-            ReplicateStart::Colstore {
-                blocks,
-                subs: count,
-                seq,
-            } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..blocks {
-                    let Some(line) =
-                        self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-                    else {
-                        return;
-                    };
-                    match decode_bootstrap_block(&line, &self.hub.schema) {
-                        Ok(mut block_subs) => subs.append(&mut block_subs),
-                        Err(_) => {
-                            ServerStats::add(&stats.repl_crc_skipped, 1);
-                            return;
-                        }
-                    }
-                }
-                if subs.len() != count {
-                    ServerStats::add(&stats.repl_crc_skipped, 1);
-                    return;
-                }
-                Some((subs, seq))
-            }
-            // Scoped pulls are never offered a truncate (the donor's
-            // handshake gates it on an unscoped stream); treat one as a
-            // protocol violation and redial.
-            ReplicateStart::Truncate { .. } => return,
+        // Scoped pulls are never offered a truncate (the donor's
+        // handshake gates it on an unscoped stream); treat one as a
+        // protocol violation and redial.
+        if matches!(start, ReplicateStart::Truncate { .. }) {
+            return;
+        }
+        // Collect the whole image first, and only then touch local state.
+        let Ok(bootstrap) = pull.read_bootstrap(start, cursor, &live, &self.hub) else {
+            return;
         };
         if let Some((mut subs, seq)) = bootstrap {
             // Unlike a replica bootstrap, this is *additive*: the node
@@ -1500,19 +1203,14 @@ impl ReshardRunner {
             cursor = seq;
             self.cursor.store(cursor, Ordering::SeqCst);
             stats.reshard_pull_seq.store(cursor, Ordering::Relaxed);
-            if writer
-                .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                .is_err()
-            {
+            if !pull.ack(cursor) {
                 return;
             }
         }
 
         let mut since_ack = 0u64;
         loop {
-            let Some(line) =
-                self.next_line(generation, &mut reader, &mut pending, &mut writer, cursor)
-            else {
+            let Some(line) = pull.next_line(cursor, &live) else {
                 return;
             };
             let record = match parse_frame(&line, &self.hub.schema) {
@@ -1557,196 +1255,10 @@ impl ReshardRunner {
             since_ack += 1;
             if since_ack >= self.ack_every {
                 since_ack = 0;
-                if writer
-                    .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                    .is_err()
-                {
+                if !pull.ack(cursor) {
                     return;
                 }
             }
-        }
-    }
-
-    /// Reads the next complete line, tolerating read-timeout ticks; each
-    /// idle tick re-checks the stop conditions and keeps the donor's lag
-    /// gauge fresh with a keepalive `REPLACK`.
-    fn next_line(
-        &self,
-        generation: u64,
-        reader: &mut BufReader<TcpStream>,
-        pending: &mut String,
-        writer: &mut TcpStream,
-        cursor: u64,
-    ) -> Option<String> {
-        loop {
-            if !self.live(generation) {
-                return None;
-            }
-            match reader.read_line(pending) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    if pending.ends_with('\n') {
-                        let line = pending.trim_end().to_string();
-                        pending.clear();
-                        return Some(line);
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if writer
-                        .write_all(format!("REPLACK {cursor}\n").as_bytes())
-                        .is_err()
-                    {
-                        return None;
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-/// Spawns the reader + writer thread pair for one accepted connection.
-fn spawn_connection(
-    ctx: Arc<ConnCtx>,
-    stream: TcpStream,
-    conn_id: u64,
-    conn_queue: usize,
-    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let (out_tx, out_rx) = bounded::<String>(conn_queue);
-    let activity = Arc::new(AtomicU64::new(ctx.epoch.elapsed().as_millis() as u64));
-
-    let writer = {
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        std::thread::Builder::new()
-            .name(format!("apcm-conn-{conn_id}-w"))
-            .spawn(move || write_loop(stream, out_rx))
-            .expect("spawning connection writer")
-    };
-
-    let reader = {
-        let registry_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        ctx.hub
-            .thread_conns()
-            .expect("spawn_connection is threaded-mode only")
-            .lock()
-            .insert(
-                conn_id,
-                ConnHandle {
-                    out: out_tx.clone(),
-                    stream: registry_stream,
-                    activity: activity.clone(),
-                },
-            );
-        std::thread::Builder::new()
-            .name(format!("apcm-conn-{conn_id}-r"))
-            .spawn(move || {
-                read_loop(&ctx, stream, conn_id, out_tx, &activity);
-                // Cleanup: deregister and release the writer. If this
-                // connection was a replication feed, drop its follower
-                // slot so the lag gauge stops tracking it.
-                if let Some(p) = &ctx.persist {
-                    p.remove_follower(conn_id);
-                }
-                if let Some(registry) = ctx.hub.thread_conns() {
-                    registry.lock().remove(&conn_id);
-                }
-                ServerStats::sub(&ctx.hub.stats.conns_active, 1);
-            })
-            .expect("spawning connection reader")
-    };
-
-    let mut threads = conn_threads.lock();
-    threads.push(writer);
-    threads.push(reader);
-}
-
-fn write_loop(stream: TcpStream, out_rx: Receiver<String>) {
-    let mut w = BufWriter::new(stream);
-    while let Ok(line) = out_rx.recv() {
-        if w.write_all(line.as_bytes()).is_err() || w.write_all(b"\n").is_err() {
-            return;
-        }
-        // Batch flushes: only force the buffer out when the queue is idle.
-        if out_rx.is_empty() && w.flush().is_err() {
-            return;
-        }
-    }
-    let _ = w.flush();
-}
-
-/// Frames capped lines off the socket and feeds them to the shared
-/// dispatcher until EOF, error, or the dispatcher closes the connection.
-fn read_loop(
-    ctx: &ConnCtx,
-    stream: TcpStream,
-    conn_id: u64,
-    out: Sender<String>,
-    activity: &AtomicU64,
-) {
-    let stats = ctx.hub.stats.clone();
-    let max_line = ctx.max_line_bytes;
-    // Source for the follower face a `REPLICATE` handshake materializes;
-    // cloned up front because the stream itself moves into the reader.
-    let follower_src = stream.try_clone().ok();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut state = ConnState::default();
-    let out_follower = out.clone();
-    let mut make_follower = move || -> std::io::Result<Box<dyn FollowerConn>> {
-        let stream = follower_src
-            .as_ref()
-            .ok_or_else(|| std::io::Error::other("connection stream unavailable"))?
-            .try_clone()?;
-        Ok(Box::new(ThreadedFollower {
-            out: out_follower.clone(),
-            stream,
-        }))
-    };
-    // Control replies go through the same queue as async results; a
-    // blocking send here only ever waits on this connection's own writer.
-    let mut reply = |text: String| {
-        let _ = out.send(text);
-        ServerStats::add(&stats.replies_sent, 1);
-    };
-    loop {
-        let input = match read_capped_line(&mut reader, &mut line, max_line) {
-            Ok(LineOutcome::Line) => {
-                activity.store(ctx.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-                LineInput::Text(&line)
-            }
-            Ok(LineOutcome::TooLong) => LineInput::TooLong,
-            Ok(LineOutcome::Eof) | Err(_) => return,
-        };
-        let flow = on_conn_line(
-            ctx,
-            conn_id,
-            &mut state,
-            input,
-            &mut reply,
-            &mut make_follower,
-        );
-        if flow == Flow::Close {
-            return;
         }
     }
 }

@@ -131,36 +131,6 @@ impl SnapshotFormat {
     }
 }
 
-/// How the broker serves client connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One `apcm-netio` readiness loop on a fixed worker pool multiplexes
-    /// every client connection (epoll + timer wheel). The default.
-    EventLoop,
-    /// Two threads per connection (blocking reader + writer). Kept as the
-    /// scalability baseline and for environments without epoll.
-    Threads,
-}
-
-impl IoModel {
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "event-loop" | "epoll" | "loop" => Ok(Self::EventLoop),
-            "threads" | "threaded" => Ok(Self::Threads),
-            other => Err(format!(
-                "unknown io model `{other}` (expected event-loop|threads)"
-            )),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::EventLoop => "event-loop",
-            Self::Threads => "threads",
-        }
-    }
-}
-
 /// Durability settings. `ServerConfig::persist = Some(..)` turns the
 /// broker's subscription set into durable state (see [`crate::persist`]).
 #[derive(Debug, Clone)]
@@ -240,8 +210,8 @@ pub struct ServerConfig {
     /// Hard cap on one protocol line; longer lines get `-ERR line too
     /// long` and are discarded without unbounded buffering.
     pub max_line_bytes: usize,
-    /// Close connections with no inbound traffic for this long (the
-    /// maintenance thread sweeps); `None` disables reaping.
+    /// Close connections with no inbound traffic for this long (the event
+    /// loop's timer wheel reaps them); `None` disables reaping.
     pub idle_timeout: Option<Duration>,
     /// Durable subscription state; `None` keeps the pre-durability
     /// behavior (everything lost on restart).
@@ -255,14 +225,12 @@ pub struct ServerConfig {
     /// A replica sends `REPLACK` after this many applied records (and on
     /// stream idle), bounding how stale the primary's lag gauge can be.
     pub repl_ack_every: u64,
-    /// How client connections are served (event loop vs thread pair).
-    pub io_model: IoModel,
     /// Admission cap: accepts beyond this many open client connections
     /// are answered `-ERR server busy` and closed (counted in
     /// `conns_rejected`). `None` disables the cap.
     pub max_conns: Option<usize>,
     /// Event-loop worker threads; `None` sizes from available cores
-    /// (clamped to 2..=8). Ignored under `IoModel::Threads`.
+    /// (clamped to 2..=8).
     pub loop_workers: Option<usize>,
 }
 
@@ -283,7 +251,6 @@ impl Default for ServerConfig {
             persist: None,
             replica_of: None,
             repl_ack_every: 32,
-            io_model: IoModel::EventLoop,
             max_conns: None,
             loop_workers: None,
         }
@@ -436,18 +403,6 @@ mod tests {
         assert_eq!(p.format, SnapshotFormat::Colstore);
         assert_eq!(p.format.name(), "colstore");
         assert!(p.max_delta_chain > 0);
-    }
-
-    #[test]
-    fn io_model_parses_and_defaults_to_event_loop() {
-        assert_eq!(IoModel::parse("event-loop").unwrap(), IoModel::EventLoop);
-        assert_eq!(IoModel::parse("epoll").unwrap(), IoModel::EventLoop);
-        assert_eq!(IoModel::parse("threads").unwrap(), IoModel::Threads);
-        assert!(IoModel::parse("fibers").is_err());
-        let config = ServerConfig::default();
-        assert_eq!(config.io_model, IoModel::EventLoop);
-        assert_eq!(config.io_model.name(), "event-loop");
-        assert!(config.max_conns.is_none());
     }
 
     #[test]

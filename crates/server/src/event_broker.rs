@@ -1,6 +1,6 @@
 //! The broker's plug-in for the `apcm-netio` event loop.
 //!
-//! [`BrokerService`] adapts the shared per-line dispatcher
+//! [`BrokerService`] adapts the per-line dispatcher
 //! ([`crate::request::on_conn_line`]) to [`apcm_netio::Service`]: the
 //! loop frames byte-capped lines and drives idle reaping; this adapter
 //! supplies the protocol semantics, connection accounting, and the
@@ -9,26 +9,21 @@
 //! [`FollowerConn`] — so replication broadcast enqueues frames on the
 //! same bounded outbound queue as any other reply.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use apcm_netio::{CloseReason, ConnId, Line, LoopHandle, SendOutcome, Service, Verdict};
 
-use crate::broker::Delivery;
 use crate::replication::FollowerConn;
 use crate::request::{on_conn_line, ConnCtx, ConnState, Flow, LineInput};
 use crate::stats::ServerStats;
 
 pub(crate) struct BrokerService {
     ctx: ConnCtx,
-    handle: OnceLock<Arc<LoopHandle>>,
 }
 
 impl BrokerService {
     pub(crate) fn new(ctx: ConnCtx) -> Self {
-        BrokerService {
-            ctx,
-            handle: OnceLock::new(),
-        }
+        BrokerService { ctx }
     }
 }
 
@@ -52,38 +47,22 @@ impl Service for BrokerService {
     type Session = ConnState;
 
     fn on_open(&self, _conn: ConnId, handle: &Arc<LoopHandle>) -> ConnState {
-        let _ = self.handle.set(handle.clone());
-        // Also publish the handle into the hub's delivery cell here:
-        // `Server::start` sets it right after `EventLoop::start` returns,
-        // but a connection accepted in that gap could PUB and need its
-        // RESULT routed before the cell is otherwise populated.
-        if let Delivery::Loop(cell) = &self.ctx.hub.delivery {
-            let _ = cell.set(handle.clone());
-        }
+        // Publish the handle into the hub here too: `Server::start` sets
+        // it right after `EventLoop::start` returns, but a connection
+        // accepted in that gap could PUB and need its RESULT routed
+        // before the cell is otherwise populated.
+        let _ = self.ctx.hub.handle.set(handle.clone());
         ServerStats::add(&self.ctx.hub.stats.conns_total, 1);
         ServerStats::add(&self.ctx.hub.stats.conns_active, 1);
         ConnState::default()
     }
 
     fn on_line(&self, session: &mut ConnState, conn: ConnId, line: Line<'_>) -> Verdict {
-        let handle = self
-            .handle
-            .get()
-            .expect("on_open registered the handle")
-            .clone();
-        let stats = self.ctx.hub.stats.clone();
-        let reply_handle = handle.clone();
-        let mut reply = move |text: String| {
-            // Control replies ride the uncapped path: the threaded broker
-            // blocks its reader on the connection's own bounded queue, but
-            // a loop worker must never stall on one connection — the queue
-            // is drained by EPOLLOUT regardless.
-            let _ = reply_handle.send(conn, text);
-            ServerStats::add(&stats.replies_sent, 1);
-        };
-        let mut make_follower = move || -> std::io::Result<Box<dyn FollowerConn>> {
+        let hub = &self.ctx.hub;
+        let mut reply = |text: String| hub.reply(conn, text);
+        let mut make_follower = || -> std::io::Result<Box<dyn FollowerConn>> {
             Ok(Box::new(LoopFollower {
-                handle: handle.clone(),
+                handle: hub.handle.get().expect("on_open set the handle").clone(),
                 conn,
             }))
         };
@@ -116,9 +95,8 @@ impl Service for BrokerService {
         }
     }
 
-    /// The loop-mode maintenance sweep (the threaded broker runs the
-    /// same work on its dedicated maintenance thread); idle reaping is
-    /// the loop's own timer wheel's job.
+    /// The maintenance sweep; idle reaping is the loop's own timer
+    /// wheel's job.
     fn on_tick(&self) {
         let report = self.ctx.engine.maintain();
         self.ctx.hub.stats.record_maintenance(&report);

@@ -9,7 +9,7 @@
 //! * [`IngestPipeline`] applies OSR at the service boundary: publishes
 //!   flow through a bounded queue (backpressure) into
 //!   [`apcm_core::osr::OsrBuffer`] windows matched by a dedicated thread.
-//! * [`Server`] is a TCP broker (`std::net` + threads) speaking a
+//! * [`Server`] is a TCP broker (an `apcm-netio` epoll loop) speaking a
 //!   newline-delimited text protocol (see [`protocol`]) with live
 //!   `SUB`/`UNSUB`, batch publishing, per-connection slow-consumer policy,
 //!   a background maintenance sweep, and [`ServerStats`] counters.
@@ -41,8 +41,7 @@ pub mod stats;
 pub use broker::{read_capped_line, LineOutcome, Server};
 pub use client::{is_timeout_error, BrokerClient, ConnectOptions};
 pub use config::{
-    EngineChoice, FsyncPolicy, IoModel, PersistConfig, ServerConfig, SlowConsumerPolicy,
-    SnapshotFormat,
+    EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy, SnapshotFormat,
 };
 pub use engine::ShardEngine;
 pub use ingest::{IngestItem, IngestPipeline, ResultSink};

@@ -4,7 +4,7 @@
 //! Layout of the persist directory:
 //!
 //! * `snapshot.apcm` — checksummed full snapshot (see [`snapshot`]),
-//!   written atomically (temp file + rename) by the maintenance thread,
+//!   written atomically (temp file + rename) by the maintenance sweep,
 //!   the `SNAPSHOT` admin command, or log-size rotation. Binary
 //!   block-columnar colstore v2 by default; text v1 via
 //!   `--snapshot-format text` (and always readable on recovery).
@@ -33,7 +33,7 @@
 //! change is rolled back and the client sees `-ERR`, so acknowledged churn
 //! always equals durable churn. Append failures put the persister into a
 //! *degraded* state: churn is refused (fast) while matching continues,
-//! the maintenance thread retries with exponential backoff, and the
+//! the maintenance sweep retries with exponential backoff, and the
 //! `STATS` counters surface everything.
 
 pub mod crc;
@@ -605,7 +605,8 @@ impl Persister {
         }
     }
 
-    /// Periodic work, called from the broker's maintenance thread:
+    /// Periodic work, called from the broker's maintenance sweep (the
+    /// event loop's tick):
     /// interval fsync, degraded-log repair retries (with backoff), and
     /// background snapshotting — size-triggered passes force a full
     /// (rotating the log back down), age-triggered passes may write a

@@ -69,19 +69,16 @@
 //! and exit. `ROLE` reports the current role, sequence, and lag — the
 //! cluster router's health sweep uses it as its liveness probe.
 
-use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
-use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 
 use crate::persist::failpoint::{self, FailAction};
 use crate::stats::ServerStats;
 
-/// Outbound face of one follower connection, abstracting over the two
-/// broker I/O models: a thread-pair connection queues onto a bounded
-/// crossbeam channel drained by its writer thread, an event-loop
-/// connection queues onto its `LoopHandle` outbound queue. Registration
-/// and broadcast never touch the socket directly — only this trait.
+/// Outbound face of one follower connection: the broker's is the
+/// connection's `LoopHandle` outbound queue, and unit tests substitute a
+/// channel. Registration and broadcast never touch the socket directly —
+/// only this trait.
 pub trait FollowerConn: Send {
     /// Bounded enqueue of one frame line; `false` means the queue is
     /// full or the connection is gone (the follower is cut loose).
@@ -89,23 +86,6 @@ pub trait FollowerConn: Send {
     /// Force-close the follower's connection (it reconnects and catches
     /// up from its acked sequence).
     fn kick(&self);
-}
-
-/// [`FollowerConn`] for the threaded broker: the connection's bounded
-/// outbound channel plus a stream clone for the force-close.
-pub struct ThreadedFollower {
-    pub out: Sender<String>,
-    pub stream: TcpStream,
-}
-
-impl FollowerConn for ThreadedFollower {
-    fn try_send(&self, line: String) -> bool {
-        self.out.try_send(line).is_ok()
-    }
-
-    fn kick(&self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
 }
 
 /// What this server currently is.
@@ -180,7 +160,7 @@ impl RoleState {
 }
 
 /// One live follower connection on a primary: frames are queued onto the
-/// connection's outbound queue (writer thread or event-loop flush).
+/// connection's outbound queue, flushed by the event loop.
 struct Follower {
     /// Follower id — the broker connection id serving the stream.
     id: u64,
@@ -344,15 +324,26 @@ pub fn send_chunk(conn: &dyn FollowerConn, chunk: String) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
-    use std::net::TcpListener;
+    use crossbeam::channel::{bounded, Receiver, Sender};
 
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
+    /// [`FollowerConn`] over a bounded channel the test drains. A kick
+    /// needs no action here: the hub dropping the follower is what the
+    /// tests observe.
+    struct ChannelFollower {
+        out: Sender<String>,
+    }
+
+    impl FollowerConn for ChannelFollower {
+        fn try_send(&self, line: String) -> bool {
+            self.out.try_send(line).is_ok()
+        }
+
+        fn kick(&self) {}
+    }
+
+    fn channel_follower(cap: usize) -> (Box<dyn FollowerConn>, Receiver<String>) {
+        let (out, rx) = bounded(cap);
+        (Box::new(ChannelFollower { out }), rx)
     }
 
     #[test]
@@ -376,9 +367,8 @@ mod tests {
     fn broadcast_orders_and_tracks_lag() {
         let hub = ReplicationHub::default();
         let stats = ServerStats::default();
-        let (tx, rx) = bounded::<String>(16);
-        let (stream, _peer) = loopback_pair();
-        hub.register(7, Box::new(ThreadedFollower { out: tx, stream }), 0);
+        let (conn, rx) = channel_follower(16);
+        hub.register(7, conn, 0);
         assert_eq!(hub.follower_count(), 1);
 
         hub.broadcast("aaaa 1 U 5", 1, &stats);
@@ -400,26 +390,10 @@ mod tests {
         let stats = ServerStats::default();
         assert_eq!(hub.min_acked(42), 42); // no followers -> own seq
 
-        let (tx1, _rx1) = bounded::<String>(16);
-        let (s1, _p1) = loopback_pair();
-        hub.register(
-            1,
-            Box::new(ThreadedFollower {
-                out: tx1,
-                stream: s1,
-            }),
-            0,
-        );
-        let (tx2, _rx2) = bounded::<String>(16);
-        let (s2, _p2) = loopback_pair();
-        hub.register(
-            2,
-            Box::new(ThreadedFollower {
-                out: tx2,
-                stream: s2,
-            }),
-            0,
-        );
+        let (c1, _rx1) = channel_follower(16);
+        hub.register(1, c1, 0);
+        let (c2, _rx2) = channel_follower(16);
+        hub.register(2, c2, 0);
 
         hub.ack(1, 10, 12);
         hub.ack(2, 7, 12);
@@ -435,9 +409,8 @@ mod tests {
     fn slow_follower_is_cut_loose_not_blocking() {
         let hub = ReplicationHub::default();
         let stats = ServerStats::default();
-        let (tx, _rx) = bounded::<String>(1);
-        let (stream, _peer) = loopback_pair();
-        hub.register(1, Box::new(ThreadedFollower { out: tx, stream }), 0);
+        let (conn, _rx) = channel_follower(1);
+        hub.register(1, conn, 0);
         hub.broadcast("aaaa 1 U 1", 1, &stats);
         hub.broadcast("bbbb 2 U 2", 2, &stats); // queue full -> dropped
         assert_eq!(hub.follower_count(), 0);
@@ -447,9 +420,8 @@ mod tests {
     fn torn_frame_failpoint_ships_prefix_then_disconnects() {
         let hub = ReplicationHub::default();
         let stats = ServerStats::default();
-        let (tx, rx) = bounded::<String>(4);
-        let (stream, _peer) = loopback_pair();
-        hub.register(1, Box::new(ThreadedFollower { out: tx, stream }), 0);
+        let (conn, rx) = channel_follower(4);
+        hub.register(1, conn, 0);
         failpoint::arm("repl.stream.send", FailAction::TornWrite(4), Some(1));
         hub.broadcast("deadbeef 1 U 1", 1, &stats);
         assert_eq!(rx.try_recv().unwrap(), "dead");

@@ -1,22 +1,20 @@
-//! Per-connection protocol executor, shared by both broker I/O models.
+//! Per-connection protocol executor.
 //!
-//! The threaded broker's reader thread and the event-loop broker's
-//! `Service::on_line` both funnel every framed line through
-//! [`on_conn_line`], so the wire protocol — reply text, counter bumps,
-//! ack-before-submit ordering, batch framing — is defined exactly once.
-//! `BATCH` payload lines, which the threaded broker used to consume with
-//! an inner read loop, are modeled as connection state instead: a
-//! [`ConnState`] in batch mode routes the next `count` lines into the
-//! accumulator and acks only when the batch completes, which behaves
-//! identically whether lines arrive from a blocking reader or an epoll
-//! readiness callback.
+//! The event-loop broker's `Service::on_line` funnels every framed line
+//! through [`on_conn_line`], so the wire protocol — reply text, counter
+//! bumps, ack-before-submit ordering, batch framing — is defined here.
+//! `BATCH` payload lines arrive one readiness callback at a time, so
+//! they are modeled as connection state: a [`ConnState`] in batch mode
+//! routes the next `count` lines into the accumulator and acks only when
+//! the batch completes.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
 
 use apcm_bexpr::Event;
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
 
 use crate::broker::{sub_fingerprint, Hub, ReplicaRunner, ReshardRunner};
 use crate::ingest::IngestItem;
@@ -28,13 +26,9 @@ use crate::ring::RingScope;
 use crate::shard::ShardedEngine;
 use crate::stats::ServerStats;
 
-/// A slow request body executed off the dispatching thread; its returned
-/// reply line is queued on the connection when it completes.
-pub(crate) type BlockingJob = Box<dyn FnOnce() -> String + Send>;
-
 /// Everything the dispatcher needs to execute requests for a connection.
-/// One instance is shared by every connection (threaded mode wraps it in
-/// an `Arc` per accept; the event-loop service owns a single copy).
+/// One instance, owned by the event-loop service, serves every
+/// connection.
 pub(crate) struct ConnCtx {
     pub(crate) hub: Arc<Hub>,
     pub(crate) engine: Arc<ShardedEngine>,
@@ -42,7 +36,6 @@ pub(crate) struct ConnCtx {
     pub(crate) ingest: Sender<IngestItem>,
     /// Receiver clone used only for `len()` (queue depth in `STATS`).
     pub(crate) ingest_depth: Receiver<IngestItem>,
-    pub(crate) epoch: Instant,
     pub(crate) max_line_bytes: usize,
     pub(crate) role: Arc<RoleState>,
     /// Spawns replica puller threads on `DEMOTE`; `None` without
@@ -51,15 +44,28 @@ pub(crate) struct ConnCtx {
     /// Drives `RESHARD PULL` migration streams; `None` without
     /// persistence (resharding requires a durable catalog).
     pub(crate) reshard: Option<Arc<ReshardRunner>>,
-    /// Runs a long-blocking request (`SNAPSHOT`'s compress + write) off
-    /// the dispatching thread. `None` executes inline — correct for the
-    /// threaded broker, whose reader thread serves only one connection;
-    /// a loop worker serves many, so stalling it would head-of-line
-    /// block every connection pinned to it.
-    pub(crate) offload: Option<Arc<dyn Fn(u64, BlockingJob) + Send + Sync>>,
+    /// Threads running offloaded blocking requests, joined at teardown
+    /// with the replication pullers.
+    pub(crate) helper_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// One framed inbound line, I/O-model agnostic.
+impl ConnCtx {
+    /// Runs a long-blocking request (`SNAPSHOT`'s compress + write) on a
+    /// short-lived thread: a loop worker serves many connections, so
+    /// stalling it would head-of-line block every connection pinned to
+    /// it. The job's reply is queued on the connection's uncapped control
+    /// path when it completes, exactly like an inline reply.
+    fn offload(&self, conn_id: u64, job: impl FnOnce() -> String + Send + 'static) {
+        let hub = self.hub.clone();
+        let handle = std::thread::Builder::new()
+            .name("apcm-blocking".into())
+            .spawn(move || hub.reply(conn_id, job()))
+            .expect("spawning blocking-request thread");
+        self.helper_threads.lock().push(handle);
+    }
+}
+
+/// One framed inbound line.
 pub(crate) enum LineInput<'a> {
     Text(&'a str),
     /// The line exceeded `max_line_bytes` and was discarded through its
@@ -80,7 +86,7 @@ struct BatchAccum {
     first_seq: u64,
     count: usize,
     /// Payload lines consumed so far (parsed or not — a bad or oversized
-    /// line still uses up its slot, exactly like the old inner loop).
+    /// line still uses up its slot).
     index: usize,
     events: Vec<(u64, Event)>,
 }
@@ -332,17 +338,13 @@ pub(crate) fn on_conn_line(
         Request::Snapshot => match &ctx.persist {
             Some(p) => {
                 let persist = p.clone();
-                let job = move || match persist.snapshot() {
+                ctx.offload(conn_id, move || match persist.snapshot() {
                     Ok(outcome) => format!(
                         "+OK snapshot subs {} seq {} bytes {}",
                         outcome.subs, outcome.seq, outcome.bytes
                     ),
                     Err(e) => format!("-ERR snapshot failed: {e}"),
-                };
-                match &ctx.offload {
-                    Some(offload) => offload(conn_id, Box::new(job)),
-                    None => reply(job()),
-                }
+                });
             }
             None => {
                 ServerStats::add(&stats.protocol_errors, 1);

@@ -72,9 +72,6 @@ pub struct ServerStats {
     pub conns_total: AtomicU64,
     /// Currently open connections.
     pub conns_active: AtomicU64,
-    /// Connections refused by the `max_conns` admission cap (threaded
-    /// accept path; the event loop counts its own, merged at render).
-    pub conns_rejected: AtomicU64,
     /// Successful SUB commands.
     pub subs_added: AtomicU64,
     /// Successful UNSUB commands.
@@ -205,16 +202,15 @@ impl ServerStats {
     /// `summary` is the engine's `(epoch, bits_set, rebuilds)` triple for
     /// the coarse predicate-space summary served to cluster routers.
     /// `netio` carries the event loop's gauges — `(connections_open,
-    /// epoll_wakeups, outbound_queue_lines, conns_rejected)` — when the
-    /// broker runs on it; `None` (threaded broker) omits the loop-only
-    /// keys.
+    /// epoll_wakeups, outbound_queue_lines, conns_rejected)`; the loop
+    /// counts admission-cap refusals itself.
     pub fn render(
         &self,
         per_shard_subs: &[usize],
         ingest_depth: usize,
         kernel_counters: Option<(u64, u64, u64)>,
         summary: (u64, u64, u64),
-        netio: Option<(u64, u64, u64, u64)>,
+        netio: (u64, u64, u64, u64),
     ) -> String {
         let mut out = String::new();
         let mut push = |key: &str, value: u64| {
@@ -232,15 +228,11 @@ impl ServerStats {
         push("slow_disconnects", Self::get(&self.slow_disconnects));
         push("conns_total", Self::get(&self.conns_total));
         push("conns_active", Self::get(&self.conns_active));
-        push(
-            "conns_rejected",
-            Self::get(&self.conns_rejected) + netio.map_or(0, |n| n.3),
-        );
-        if let Some((open, wakeups, outbound, _)) = netio {
-            push("connections_open", open);
-            push("epoll_wakeups", wakeups);
-            push("outbound_queue_lines", outbound);
-        }
+        let (open, wakeups, outbound, rejected) = netio;
+        push("conns_rejected", rejected);
+        push("connections_open", open);
+        push("epoll_wakeups", wakeups);
+        push("outbound_queue_lines", outbound);
         push("subs_added", Self::get(&self.subs_added));
         push("subs_removed", Self::get(&self.subs_removed));
         push("subs_reclaimed", Self::get(&self.subs_reclaimed));
@@ -361,7 +353,7 @@ mod tests {
     fn render_includes_shards_and_counters() {
         let stats = ServerStats::default();
         ServerStats::add(&stats.events_in, 7);
-        let text = stats.render(&[3, 4], 2, None, (1, 0, 0), None);
+        let text = stats.render(&[3, 4], 2, None, (1, 0, 0), (0, 0, 0, 0));
         assert!(text.contains("events_in 7\n"));
         assert!(text.contains("shard_0_subs 3\n"));
         assert!(text.contains("shard_1_subs 4\n"));
@@ -374,9 +366,8 @@ mod tests {
         assert!(text.contains("conns_rejected 0\n"));
         assert!(text.contains("summary_epoch 1\n"));
         assert!(!text.contains("kernel_probes"));
-        assert!(!text.contains("connections_open"));
 
-        let text = stats.render(&[3, 4], 2, Some((10, 4, 6)), (4, 12, 1), None);
+        let text = stats.render(&[3, 4], 2, Some((10, 4, 6)), (4, 12, 1), (0, 0, 0, 0));
         assert!(text.contains("summary_epoch 4\n"));
         assert!(text.contains("summary_bits_set 12\n"));
         assert!(text.contains("summary_rebuilds 1\n"));
@@ -386,11 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn render_merges_event_loop_gauges() {
+    fn render_reports_event_loop_gauges() {
         let stats = ServerStats::default();
-        ServerStats::add(&stats.conns_rejected, 2);
-        let text = stats.render(&[1], 0, None, (1, 0, 0), Some((9, 100, 3, 5)));
-        assert!(text.contains("conns_rejected 7\n")); // threaded 2 + loop 5
+        let text = stats.render(&[1], 0, None, (1, 0, 0), (9, 100, 3, 5));
+        assert!(text.contains("conns_rejected 5\n"));
         assert!(text.contains("connections_open 9\n"));
         assert!(text.contains("epoll_wakeups 100\n"));
         assert!(text.contains("outbound_queue_lines 3\n"));

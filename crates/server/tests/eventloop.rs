@@ -1,13 +1,12 @@
-//! Robustness tests for the event-loop broker (`IoModel::EventLoop`,
-//! the default): framing over torn writes, oversized-line handling,
-//! idle reaping, slow-consumer policy, admission control, the netio
-//! STATS gauges, and the headline property — one fixed worker pool
-//! serving ~1k idle subscribers with no per-connection threads. A
-//! threaded-model parity test pins the same protocol behavior to
-//! `IoModel::Threads` so the two stay interchangeable.
+//! Robustness tests for the event-loop broker: framing over torn writes,
+//! oversized-line handling, idle reaping, slow-consumer policy, admission
+//! control, the netio STATS gauges, and the headline property — one fixed
+//! worker pool serving ~1k idle subscribers with no per-connection
+//! threads. The wire protocol itself is pinned by the umbrella crate's
+//! golden transcript (`tests/protocol_golden.rs`).
 
 use apcm_bexpr::{parser, Schema, SubId};
-use apcm_server::{BrokerClient, EngineChoice, IoModel, Server, ServerConfig, SlowConsumerPolicy};
+use apcm_server::{BrokerClient, EngineChoice, Server, ServerConfig, SlowConsumerPolicy};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -216,54 +215,6 @@ fn admission_cap_rejects_with_server_busy() {
         }
     }
     assert!(saw_rejected, "conns_rejected should be 1");
-    server.shutdown();
-}
-
-#[test]
-fn admission_cap_parity_under_threads_model() {
-    let (server, addr) = start(ServerConfig {
-        io_model: IoModel::Threads,
-        max_conns: Some(1),
-        ..base_config()
-    });
-    let (mut s1, mut r1) = raw_conn(&addr);
-    s1.write_all(b"PING\n").unwrap();
-    assert_eq!(read_reply(&mut r1), "+PONG");
-    let (_s2, mut r2) = raw_conn(&addr);
-    assert_eq!(read_reply(&mut r2), "-ERR server busy");
-    let mut rest = String::new();
-    r2.read_to_string(&mut rest).unwrap();
-    assert!(rest.is_empty());
-    server.shutdown();
-}
-
-#[test]
-fn threads_model_serves_identical_protocol() {
-    let schema = Schema::uniform(3, 16);
-    let (server, addr) = start(ServerConfig {
-        io_model: IoModel::Threads,
-        ..base_config()
-    });
-    let mut client = BrokerClient::connect(&addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(15)))
-        .unwrap();
-    client.ping().unwrap();
-    let sub = parser::parse_subscription_with_id(&schema, SubId(3), "a0 >= 8").unwrap();
-    client.subscribe(&sub, &schema).unwrap();
-    let events = vec![
-        parser::parse_event(&schema, "a0 = 9, a1 = 0").unwrap(),
-        parser::parse_event(&schema, "a0 = 2, a1 = 0").unwrap(),
-    ];
-    let rows = client.publish_batch(&events, &schema).unwrap();
-    assert_eq!(rows[&0], vec![SubId(3)]);
-    assert!(rows[&1].is_empty());
-    let stats = client.stats().unwrap();
-    assert_eq!(stats["conns_rejected"], 0);
-    // The netio gauges are loop-mode-only keys.
-    assert!(!stats.contains_key("connections_open"), "{stats:?}");
-    assert!(!stats.contains_key("epoll_wakeups"));
-    client.quit().unwrap();
     server.shutdown();
 }
 

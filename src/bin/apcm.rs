@@ -18,7 +18,7 @@ use apcm::core::{ApcmConfig, ApcmMatcher, PcmMatcher};
 use apcm::prelude::*;
 use apcm::server::client::{connect_stream, is_timeout_error, ConnectOptions};
 use apcm::server::{
-    EngineChoice, FsyncPolicy, IoModel, PersistConfig, Server, ServerConfig, SlowConsumerPolicy,
+    EngineChoice, FsyncPolicy, PersistConfig, Server, ServerConfig, SlowConsumerPolicy,
 };
 use apcm::workload::{Trace, ValueDist, WorkloadSpec};
 use std::collections::HashMap;
@@ -32,7 +32,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
+    let flags = match parse_flags(command, rest) {
         Ok(f) => f,
         Err(msg) => {
             eprintln!("error: {msg}\n{USAGE}");
@@ -74,7 +74,7 @@ usage:
              [--persist-dir DIR] [--fsync always|interval|never] [--snapshot-secs N]
              [--snapshot-format colstore|text] [--max-delta-chain N]
              [--rotate-bytes N] [--idle-timeout-ms N] [--max-line-bytes N]
-             [--io-model event-loop|threads] [--loop-workers N] [--max-conns N]
+             [--loop-workers N] [--max-conns N]
              [--replica-of HOST:PORT]  (start as a read-only follower; needs --persist-dir)
   apcm route --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT] [--dims N]
              [--cardinality N] [--health-ms N] [--probe-timeout-ms N]
@@ -88,13 +88,41 @@ usage:
              [--retries N]
              (reads protocol lines from stdin)";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand reads, space-separated; `None` for
+/// commands that take none (or are unknown, which dispatch reports).
+fn known_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "gen" => "subs events dims cardinality preds event-size planted zipf seed out",
+        "match" => "trace engine batch limit",
+        "stats" => "trace",
+        "serve" => {
+            "addr dims cardinality shards engine window queue flush-ms maintenance-ms \
+             slow-consumer persist-dir fsync snapshot-secs snapshot-format max-delta-chain \
+             rotate-bytes idle-timeout-ms max-line-bytes loop-workers max-conns replica-of"
+        }
+        "route" => {
+            "backends replicas addr dims cardinality health-ms probe-timeout-ms \
+             connect-timeout-ms read-timeout-ms queue max-line-bytes"
+        }
+        "client" => "addr connect-timeout-ms read-timeout-ms retries",
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs, rejecting any flag `command` does not
+/// read: a misspelt flag (`--shard 4`) must fail loudly, not run with
+/// the default.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = known_flags(command);
     let mut flags = HashMap::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, found `{flag}`"));
         };
+        if known.is_some_and(|known| !known.split_whitespace().any(|k| k == name)) {
+            return Err(format!("unknown flag --{name} for {command}"));
+        }
         let value = iter
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -249,9 +277,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if idle_ms > 0 {
         config.idle_timeout = Some(Duration::from_millis(idle_ms));
     }
-    if let Some(model) = flags.get("io-model") {
-        config.io_model = IoModel::parse(model)?;
-    }
     let max_conns: usize = get(flags, "max-conns", 0)?;
     if max_conns > 0 {
         config.max_conns = Some(max_conns);
@@ -280,13 +305,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     config.validate()?;
 
     let following = config.replica_of.clone();
-    let io_model = config.io_model.name();
     let server = Server::start(schema, config, &addr).map_err(|e| e.to_string())?;
     if let Some(report) = server.recovery_report() {
         print!("{report}");
     }
     println!(
-        "listening on {} ({} shards, engine {}, {io_model} io); \
+        "listening on {} ({} shards, engine {}, event-loop io); \
          close stdin or type `stop` to shut down",
         server.local_addr(),
         server.engine().shard_count(),
