@@ -1,14 +1,15 @@
 //! Wire-protocol golden file: replays the committed single-connection
 //! session in `tests/golden/protocol_session.txt` against a loopback
-//! broker and checks every reply byte for byte. The transcript covers
-//! the request verbs, their error replies, and the `RESULT`/`EVENT`
-//! lines a `BATCH` and a `PUB` produce. The format is described in the
-//! file's header comment.
+//! broker, and again against a cluster router over two such brokers,
+//! and checks every reply byte for byte. The transcript covers the
+//! request verbs, their error replies, and the `RESULT`/`EVENT` lines a
+//! `BATCH` and a `PUB` produce. The format is described in the file's
+//! header comment.
 
 use apcm::prelude::*;
 use apcm::server::EngineChoice;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 const TRANSCRIPT: &str = include_str!("golden/protocol_session.txt");
@@ -42,20 +43,26 @@ fn parse_transcript(text: &str) -> Vec<Exchange> {
     runs
 }
 
-#[test]
-fn broker_replays_protocol_golden_transcript() {
-    let runs = parse_transcript(TRANSCRIPT);
-    assert!(runs.len() >= 10, "transcript parsed to {} runs", runs.len());
+fn schema() -> Schema {
+    Schema::uniform(3, 16)
+}
 
-    let config = ServerConfig {
+fn config() -> ServerConfig {
+    ServerConfig {
         shards: 2,
         engine: EngineChoice::Apcm,
         window: 16,
         flush_interval: Duration::from_millis(5),
         ..ServerConfig::default()
-    };
-    let server = Server::start(Schema::uniform(3, 16), config, "127.0.0.1:0").unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    }
+}
+
+/// Replays the whole transcript over one fresh connection to `addr`.
+fn replay(addr: SocketAddr) {
+    let runs = parse_transcript(TRANSCRIPT);
+    assert!(runs.len() >= 10, "transcript parsed to {} runs", runs.len());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(15)))
         .unwrap();
@@ -78,5 +85,21 @@ fn broker_replays_protocol_golden_transcript() {
             assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "extra {rest:?}");
         }
     }
+}
+
+#[test]
+fn broker_replays_protocol_golden_transcript() {
+    let server = Server::start(schema(), config(), "127.0.0.1:0").unwrap();
+    replay(server.local_addr());
     server.shutdown();
+}
+
+/// The router speaks the broker's protocol: the same transcript, sent
+/// through a router over two backends, yields the same bytes.
+#[test]
+fn router_replays_protocol_golden_transcript() {
+    let cluster =
+        ClusterHandle::start(schema(), vec![config(), config()], RouterConfig::default()).unwrap();
+    replay(cluster.router().local_addr());
+    cluster.shutdown();
 }
