@@ -51,7 +51,8 @@ cargo run --release -q --offline --manifest-path stackbench/Cargo.toml -- \
     --smoke --out target/ci/stackbench-smoke.json --trace-out target/ci/stackbench-trace.json
 
 # Harness smoke runs write fresh records under target/ci; the committed
-# BENCH_prN.json files are frozen history.
+# BENCH_prN.json files are frozen history. Summary pruning and follower
+# reads are asserted by the summary and failover suites above.
 harness_smoke() {
     local exp="$1" scale="$2"
     echo "==> harness smoke run ($exp -> target/ci/$exp.json)"
@@ -62,22 +63,6 @@ harness_smoke() {
 
 harness_smoke e2 0.002
 harness_smoke e13 0.002
-
-echo "==> summary pruning engages on skewed placement (pruned_fanout_ratio < 1.0)"
-python3 - <<'PY'
-import json
-records = json.load(open("target/ci/e13.json"))
-ratios = [
-    r["value"]
-    for r in records
-    if r["algorithm"] == "routed-skewed" and r["metric"] == "pruned_fanout_ratio"
-]
-assert ratios, "no pruned_fanout_ratio records in target/ci/e13.json"
-latest = ratios[-1]
-assert latest < 1.0, f"summary pruning never skipped a backend: ratio {latest}"
-print(f"    pruned_fanout_ratio {latest} < 1.0")
-PY
-
 harness_smoke e14 0.002
 harness_smoke e15 0.002
 harness_smoke e16 0.002
@@ -86,21 +71,5 @@ harness_smoke e16 0.002
 ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
 harness_smoke e17 0.1
 harness_smoke e18 0.002
-
-echo "==> follower reads engage (reads_follower_served > 0 with followers present)"
-python3 - <<'PY'
-import json
-records = json.load(open("target/ci/e18.json"))
-served = [
-    r["value"]
-    for r in records
-    if r["param"] in ("followers=1", "followers=2")
-    and r["metric"] == "reads_follower_served"
-]
-assert served, "no reads_follower_served records in target/ci/e18.json"
-latest = served[-1]
-assert latest > 0, "the router never served a routed window from a follower"
-print(f"    reads_follower_served {latest:.0f} > 0")
-PY
 
 echo "==> ci.sh: all green"

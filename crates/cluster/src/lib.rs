@@ -1,8 +1,9 @@
 //! apcm-cluster: a multi-node shard tier over `apcm-server`.
 //!
 //! One [`Router`] fronts N backend shard servers. Clients speak the same
-//! newline text protocol they would to a standalone server; the router
-//! owns no subscriptions:
+//! newline text protocol they would to a standalone server, served the
+//! same way (the broker's netio event loop, `Framing` and `Delivery`);
+//! the router owns no subscriptions:
 //!
 //! * **Routing** — `SUB`/`UNSUB`/`CLAIM` go to exactly one backend,
 //!   chosen by the consistent-hash virtual-node ring

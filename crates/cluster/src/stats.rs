@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use apcm_server::DeliveryGauges;
+
 /// Counters shared by every router thread. All relaxed: monitoring data,
 /// not synchronization. Mirrors the spirit of `apcm_server::ServerStats`
 /// but counts routing work, not matching work — the backends keep their
@@ -51,10 +53,6 @@ pub struct ClusterStats {
     /// `RESHARD PULL` re-issues by the migration controller after the
     /// puller reported idle/disconnected (either side died mid-leg).
     pub reshard_pull_restarts: AtomicU64,
-    /// Lines delivered to client connections.
-    pub replies_sent: AtomicU64,
-    /// Lines dropped because a client's outbound queue was full.
-    pub replies_dropped: AtomicU64,
     /// Protocol errors returned to clients (including `-ERR backend ...
     /// unavailable` refusals for churn routed at a down backend).
     pub protocol_errors: AtomicU64,
@@ -106,13 +104,15 @@ impl ClusterStats {
     /// Renders the `STATS` body: `key value` lines, one per metric, plus
     /// the membership gauges passed in by the router. `backends` counts
     /// partitions (the wire-visible slots, unchanged by replication);
-    /// `nodes` counts every server in the table.
+    /// `nodes` counts every server in the table. `delivery` carries the
+    /// client-side delivery counters and the event loop's gauges.
     pub fn render(
         &self,
         backends: usize,
         backends_up: usize,
         nodes: usize,
         nodes_up: usize,
+        delivery: DeliveryGauges,
     ) -> String {
         let mut out = String::new();
         let mut push = |key: &str, value: u64| {
@@ -123,6 +123,9 @@ impl ClusterStats {
         };
         push("conns_total", Self::get(&self.conns_total));
         push("conns_active", Self::get(&self.conns_active));
+        push("connections_open", delivery.connections_open);
+        push("epoll_wakeups", delivery.epoll_wakeups);
+        push("outbound_queue_lines", delivery.outbound_queue_lines);
         push("subs_routed", Self::get(&self.subs_routed));
         push("unsubs_routed", Self::get(&self.unsubs_routed));
         push("claims_routed", Self::get(&self.claims_routed));
@@ -147,8 +150,8 @@ impl ClusterStats {
             "reshard_pull_restarts",
             Self::get(&self.reshard_pull_restarts),
         );
-        push("replies_sent", Self::get(&self.replies_sent));
-        push("replies_dropped", Self::get(&self.replies_dropped));
+        push("replies_sent", delivery.replies_sent);
+        push("replies_dropped", delivery.replies_dropped);
         push("protocol_errors", Self::get(&self.protocol_errors));
         push("oversized_lines", Self::get(&self.oversized_lines));
         push("failovers", Self::get(&self.failovers));
@@ -193,7 +196,7 @@ mod tests {
         let stats = ClusterStats::default();
         ClusterStats::add(&stats.windows, 3);
         ClusterStats::add(&stats.cluster_degraded, 1);
-        let text = stats.render(3, 2, 6, 5);
+        let text = stats.render(3, 2, 6, 5, DeliveryGauges::default());
         assert!(text.contains("windows 3\n"));
         assert!(text.contains("cluster_degraded 1\n"));
         assert!(text.contains("backends 3\n"));
@@ -209,12 +212,12 @@ mod tests {
         let stats = ClusterStats::default();
         // No windows yet: degenerate ratio pins to 1.0 (no pruning seen).
         assert!(stats
-            .render(1, 1, 1, 1)
+            .render(1, 1, 1, 1, DeliveryGauges::default())
             .contains("pruned_fanout_ratio 1.000\n"));
         ClusterStats::add(&stats.fanouts_possible, 8);
         ClusterStats::add(&stats.fanouts_sent, 6);
         ClusterStats::add(&stats.backends_pruned, 2);
-        let text = stats.render(1, 1, 1, 1);
+        let text = stats.render(1, 1, 1, 1, DeliveryGauges::default());
         assert!(text.contains("pruned_fanout_ratio 0.750\n"), "{text}");
         assert!(text.contains("backends_pruned 2\n"));
         assert!(text.contains("summary_refreshes 0\n"));

@@ -355,3 +355,72 @@ fn topology_and_claim_round_trip() {
     claimer.quit().unwrap();
     cluster.shutdown();
 }
+
+/// How many OS threads this process is running (router and backends
+/// included — the cluster runs in-process in these tests).
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap()
+}
+
+/// The router serves its clients on a fixed netio worker pool: a thousand
+/// idle client connections add no per-connection threads.
+#[test]
+fn thousand_idle_clients_on_the_router_pool() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    const CONNS: usize = 1000;
+    let wl = WorkloadSpec::new(10).seed(0xC5).build();
+    let cluster = ClusterHandle::start(
+        wl.schema.clone(),
+        (0..2).map(|_| backend_config(EngineChoice::Apcm)).collect(),
+        router_config(),
+    )
+    .unwrap();
+    let addr = cluster.router_addr();
+    let threads_before = process_threads();
+
+    let mut conns = Vec::with_capacity(CONNS);
+    for _ in 0..CONNS {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(15)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        stream.write_all(b"PING\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "+PONG");
+        conns.push((stream, reader));
+    }
+
+    // Other tests in this binary start and stop clusters concurrently, so
+    // sample until their threads are gone; the router's own connections
+    // stay open throughout.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let grown = loop {
+        let grown = process_threads().saturating_sub(threads_before);
+        if grown < 10 || Instant::now() > deadline {
+            break grown;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        grown < 10,
+        "expected a fixed worker pool, thread count grew by {grown} for {CONNS} router clients"
+    );
+
+    let (stream, reader) = &mut conns[617];
+    stream.write_all(b"PING\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "+PONG");
+
+    drop(conns);
+    cluster.shutdown();
+}

@@ -4,11 +4,14 @@
 //!
 //! ## Ownership model
 //!
-//! Every accepted connection is pinned to one worker (`fd % workers`);
-//! only that worker ever touches the socket. Other threads interact
-//! through the shared [`LoopHandle`]: enqueue outbound lines
-//! ([`LoopHandle::try_send`] / [`LoopHandle::send`]) or request a close
-//! ([`LoopHandle::kick`]); both nudge the owning worker through its
+//! Every accepted connection is pinned to one worker, round-robin in
+//! accept order (`conn id % workers`), and only that worker ever touches
+//! the socket. Pinning is not by fd: when each accept pairs with another
+//! open (an in-process client, a proxy's upstream dial), accepted fds
+//! share a parity and would all land on one of two workers. Other
+//! threads interact through the shared [`LoopHandle`]: enqueue outbound
+//! lines ([`LoopHandle::try_send`] / [`LoopHandle::send`]) or request a
+//! close ([`LoopHandle::kick`]); both nudge the owning worker through its
 //! eventfd [`Waker`] and a small inbox, so the socket itself needs no
 //! cross-thread synchronization.
 //!
@@ -32,7 +35,7 @@
 //! per-connection timer threads exist anywhere.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,6 +55,15 @@ const TOKEN_TICK: u64 = u64::MAX - 2;
 /// How long a draining (service-closed) connection may take to flush
 /// its tail before being cut off.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A line whose handling took this long (the service blocked on its own
+/// I/O) has its queued replies written before the next line of the same
+/// read runs. Faster lines leave them for one flush per read.
+const SLOW_LINE: Duration = Duration::from_millis(1);
+
+/// Queued lines gathered into one `writev` (two slices each, under the
+/// kernel's 1 024-slice limit).
+const WRITE_LINES: usize = 256;
 
 /// One inbound protocol line, already framed and byte-capped.
 pub enum Line<'a> {
@@ -117,7 +129,7 @@ pub enum SendOutcome {
 }
 
 pub struct LoopOptions {
-    /// Worker threads (connections are pinned by fd hash). At least 1.
+    /// Worker threads (connections are pinned round-robin). At least 1.
     pub workers: usize,
     /// Bounded outbound-queue capacity per connection (lines), enforced
     /// on [`LoopHandle::try_send`] only.
@@ -572,7 +584,7 @@ impl<S: Service> Worker<S> {
                         }
                     }
                     let id = self.handle.next_conn.fetch_add(1, Ordering::Relaxed);
-                    let owner = stream.as_raw_fd() as usize % self.handle.workers.len();
+                    let owner = (id % self.handle.workers.len() as u64) as usize;
                     let shared = Arc::new(ConnShared {
                         owner,
                         out: Mutex::new(Outbound {
@@ -760,6 +772,7 @@ impl<S: Service> Worker<S> {
         loop {
             match rest.iter().position(|&b| b == b'\n') {
                 Some(pos) => {
+                    let started = Instant::now();
                     let verdict;
                     if conn.overflowed || conn.buf.len() + pos > max {
                         conn.overflowed = false;
@@ -777,6 +790,12 @@ impl<S: Service> Worker<S> {
                         self.handle.epoch.elapsed().as_millis() as u64,
                         Ordering::Relaxed,
                     );
+                    // A slow line's replies go out now, not after the
+                    // rest of the chunk; a failed write resurfaces on the
+                    // flush that follows the chunk.
+                    if started.elapsed() >= SLOW_LINE {
+                        let _ = self.write_queued(conn);
+                    }
                     rest = &rest[pos + 1..];
                     if verdict != Verdict::Continue {
                         return verdict;
@@ -821,55 +840,9 @@ impl<S: Service> Worker<S> {
         let Some(conn) = conns.get_mut(&id) else {
             return FlushResult::Ok;
         };
-        let mut blocked = false;
-        let mut failed = false;
-        let mut popped = 0u64;
-        {
-            let mut out = conn.shared.out.lock().unwrap();
-            'queue: while let Some(front) = out.queue.front() {
-                let bytes_len = front.len();
-                let total = bytes_len + 1; // trailing newline
-                while out.head_written < total {
-                    let written = out.head_written;
-                    let front = out.queue.front().expect("checked above");
-                    let result = if written < bytes_len {
-                        (&conn.stream).write(&front.as_bytes()[written..])
-                    } else {
-                        (&conn.stream).write(b"\n")
-                    };
-                    match result {
-                        Ok(0) => {
-                            failed = true;
-                            break 'queue;
-                        }
-                        Ok(n) => out.head_written += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            blocked = true;
-                            break 'queue;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            failed = true;
-                            break 'queue;
-                        }
-                    }
-                }
-                if out.head_written >= total {
-                    out.queue.pop_front();
-                    out.head_written = 0;
-                    popped += 1;
-                }
-            }
-        }
-        if popped > 0 {
-            self.handle
-                .metrics
-                .outbound_queued_lines
-                .fetch_sub(popped, Ordering::Relaxed);
-        }
-        if failed {
+        let Ok(blocked) = self.write_queued(conn) else {
             return FlushResult::Failed;
-        }
+        };
 
         let pending = {
             let out = conn.shared.out.lock().unwrap();
@@ -902,6 +875,59 @@ impl<S: Service> Worker<S> {
             conn.interest = want;
         }
         FlushResult::Ok
+    }
+
+    /// Writes queued lines, up to `WRITE_LINES` per `writev`, until the
+    /// queue empties (`Ok(false)`) or the socket would block (`Ok(true)`);
+    /// `Err` when the socket failed.
+    fn write_queued(&self, conn: &ConnLocal<S>) -> Result<bool, ()> {
+        let mut popped = 0u64;
+        let mut out = conn.shared.out.lock().unwrap();
+        let result = loop {
+            if out.queue.is_empty() {
+                break Ok(false);
+            }
+            let written = {
+                let mut slices = Vec::with_capacity(2 * WRITE_LINES);
+                for (i, line) in out.queue.iter().take(WRITE_LINES).enumerate() {
+                    // Only the head can be partly written; its newline may
+                    // be all that is left of it.
+                    let skip = if i == 0 { out.head_written } else { 0 };
+                    if skip < line.len() {
+                        slices.push(IoSlice::new(&line.as_bytes()[skip..]));
+                    }
+                    slices.push(IoSlice::new(b"\n"));
+                }
+                (&conn.stream).write_vectored(&slices)
+            };
+            match written {
+                Ok(0) => break Err(()),
+                Ok(n) => {
+                    let mut left = out.head_written + n;
+                    while let Some(front) = out.queue.front() {
+                        let total = front.len() + 1; // trailing newline
+                        if left < total {
+                            break;
+                        }
+                        left -= total;
+                        out.queue.pop_front();
+                        popped += 1;
+                    }
+                    out.head_written = left;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break Err(()),
+            }
+        };
+        drop(out);
+        if popped > 0 {
+            self.handle
+                .metrics
+                .outbound_queued_lines
+                .fetch_sub(popped, Ordering::Relaxed);
+        }
+        result
     }
 
     /// Idle-check / drain-deadline timer for one connection.

@@ -39,7 +39,8 @@ mod loop_tests {
     use std::time::Duration;
 
     /// Line-echo service: replies `echo <line>`; `quit` closes after
-    /// flushing `bye`; `toolong` lines get a marker reply.
+    /// flushing `bye`; `nap` blocks for 200 ms, then replies `awake`;
+    /// `toolong` lines get a marker reply.
     struct Echo {
         handle: Mutex<Option<Arc<LoopHandle>>>,
         closes: Mutex<Vec<(ConnId, CloseReason)>>,
@@ -75,6 +76,11 @@ mod loop_tests {
                 Line::Text("quit") => {
                     self.handle().send(conn, "bye".to_string());
                     Verdict::Close
+                }
+                Line::Text("nap") => {
+                    std::thread::sleep(Duration::from_millis(200));
+                    self.handle().send(conn, "awake".to_string());
+                    Verdict::Continue
                 }
                 Line::Text(text) => {
                     self.handle().send(conn, format!("echo {text}"));
@@ -132,6 +138,33 @@ mod loop_tests {
         assert!(closes
             .iter()
             .any(|(_, reason)| *reason == CloseReason::Requested));
+    }
+
+    #[test]
+    fn a_slow_lines_reply_is_written_before_the_next_line_runs() {
+        let (el, _service, addr) = start_echo(LoopOptions {
+            workers: 2,
+            ..LoopOptions::default()
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        // One write, so both lines arrive in the same read.
+        let sent = std::time::Instant::now();
+        writer.write_all(b"nap\nnap\n").unwrap();
+        assert_eq!(read_reply(&mut reader), "awake");
+        let first = sent.elapsed();
+        assert_eq!(read_reply(&mut reader), "awake");
+        // The second nap ends 400 ms in; the first reply must not wait
+        // for it.
+        assert!(
+            first < Duration::from_millis(350),
+            "first reply took {first:?}"
+        );
+        el.shutdown();
     }
 
     #[test]
@@ -279,6 +312,35 @@ mod loop_tests {
         assert!(saw_full, "bounded queue never reported Full");
         // Unbounded control send still lands.
         assert!(handle.send(conn, "control".to_string()));
+        el.shutdown();
+    }
+
+    #[test]
+    fn queued_lines_reach_a_late_reader_whole_and_in_order() {
+        let (el, service, addr) = start_echo(LoopOptions {
+            workers: 2,
+            ..LoopOptions::default()
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(b"hello\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        assert_eq!(read_reply(&mut reader), "echo hello");
+        let handle = service.handle();
+        let conn = (1..10).find(|c| handle.owner_of(*c).is_some()).unwrap();
+        // Far more than the socket buffers hold, so writes go partial
+        // and resume mid-line once the peer starts reading.
+        let line = |i: usize| format!("line {i}:{}", "y".repeat(i * 7 % 4000));
+        for i in 0..10_000 {
+            assert!(handle.send(conn, line(i)));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        for i in 0..10_000 {
+            assert_eq!(read_reply(&mut reader), line(i));
+        }
         el.shutdown();
     }
 

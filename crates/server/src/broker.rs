@@ -9,7 +9,9 @@
 //! persister's [`Persister::maintenance_tick`]) riding the loop's tick
 //! hook. Thread count is O(workers), not O(connections), so tens of
 //! thousands of mostly-idle subscribers fit in one pool. Every inbound
-//! line goes through one dispatcher ([`crate::request::on_conn_line`]).
+//! line goes through one dispatcher ([`crate::request::on_conn_line`]),
+//! and every outbound line through [`Delivery`] — the framing and
+//! delivery types the cluster router is built from as well.
 //! The **matcher** thread inside [`IngestPipeline`], the outbound
 //! replication/reshard pullers ([`ReplicaRunner`], [`ReshardRunner`]) and
 //! offloaded blocking requests run on dedicated threads.
@@ -28,19 +30,19 @@
 //! loop's timer wheel.
 
 use apcm_bexpr::{Schema, SubId, Subscription};
-use apcm_netio::{LoopHandle, SendOutcome};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::{connect_stream, ConnectOptions};
-use crate::config::{ServerConfig, SlowConsumerPolicy};
+use crate::config::ServerConfig;
+use crate::delivery::Delivery;
 use crate::event_broker::BrokerService;
 use crate::ingest::{IngestItem, IngestPipeline, ResultSink};
 use crate::persist::log::{parse_frame, ReplayOp};
@@ -108,19 +110,13 @@ fn decode_bootstrap_block(line: &str, schema: &Schema) -> Result<Vec<Subscriptio
         .collect()
 }
 
-/// State shared by every thread: the event loop's handle, subscription
-/// ownership, and delivery policy. Doubles as the ingest pipeline's
-/// [`ResultSink`].
+/// State shared by every thread: delivery to the event loop's
+/// connections and subscription ownership. Doubles as the ingest
+/// pipeline's [`ResultSink`].
 pub(crate) struct Hub {
     pub(crate) schema: Schema,
     pub(crate) stats: Arc<ServerStats>,
-    policy: SlowConsumerPolicy,
-    /// How outbound lines reach their connection. A `OnceLock` because
-    /// the hub must exist (the ingest pipeline sinks into it) before the
-    /// loop, which needs the hub via its service, can start.
-    pub(crate) handle: OnceLock<Arc<LoopHandle>>,
-    /// Which connection owns (receives `EVENT` notifications for) each id.
-    pub(crate) owners: RwLock<HashMap<SubId, u64>>,
+    pub(crate) delivery: Delivery,
     /// Fingerprint of every live subscription's expression (seeded from
     /// recovery, maintained by SUB/UNSUB). Backs `CLAIM` liveness checks
     /// and identical-expression takeover without cloning expressions.
@@ -134,145 +130,11 @@ pub(crate) struct Hub {
     pub(crate) ownership: RwLock<Option<RingScope>>,
 }
 
-impl Hub {
-    /// Queues `line` on a connection's outbound queue, applying the
-    /// slow-consumer policy on overflow. Unknown connections (already
-    /// closed) discard silently.
-    pub(crate) fn push_line(&self, conn_id: u64, line: String) {
-        let Some(handle) = self.handle.get() else {
-            return;
-        };
-        match handle.try_send(conn_id, line) {
-            SendOutcome::Sent => {
-                ServerStats::add(&self.stats.replies_sent, 1);
-            }
-            SendOutcome::Full => match self.policy {
-                SlowConsumerPolicy::Drop => {
-                    ServerStats::add(&self.stats.replies_dropped, 1);
-                }
-                SlowConsumerPolicy::Disconnect => {
-                    ServerStats::add(&self.stats.slow_disconnects, 1);
-                    handle.kick(conn_id);
-                }
-            },
-            SendOutcome::Gone => {}
-        }
-    }
-
-    /// Queues a control reply (an ack or a request's answer) on the
-    /// connection's uncapped path: replies are never dropped, and a loop
-    /// worker never stalls on one connection's queue, which `EPOLLOUT`
-    /// drains regardless.
-    pub(crate) fn reply(&self, conn_id: u64, line: String) {
-        if let Some(handle) = self.handle.get() {
-            let _ = handle.send(conn_id, line);
-            ServerStats::add(&self.stats.replies_sent, 1);
-        }
-    }
-
-    /// Event-loop gauges for `STATS` rendering, in the order
-    /// [`ServerStats::render`] expects: `(connections_open,
-    /// epoll_wakeups, outbound_queued_lines, conns_rejected)`; zeros
-    /// before the loop has started.
-    pub(crate) fn netio_gauges(&self) -> (u64, u64, u64, u64) {
-        self.handle
-            .get()
-            .map(|handle| {
-                let m = handle.metrics();
-                (
-                    m.connections_open.load(Ordering::Relaxed),
-                    m.epoll_wakeups.load(Ordering::Relaxed),
-                    m.outbound_queued_lines.load(Ordering::Relaxed),
-                    m.conns_rejected.load(Ordering::Relaxed),
-                )
-            })
-            .unwrap_or_default()
-    }
-}
-
 impl ResultSink for Hub {
     fn on_window(&self, items: &[IngestItem], rows: &[Vec<SubId>]) {
         for (item, row) in items.iter().zip(rows) {
-            self.push_line(item.conn, protocol::render_result(item.seq, row));
-            for &id in row {
-                let owner = self.owners.read().get(&id).copied();
-                if let Some(owner) = owner {
-                    self.push_line(
-                        owner,
-                        protocol::render_event_notification(id, &item.event, &self.schema),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of one capped line read.
-pub enum LineOutcome {
-    /// A complete line (newline stripped) is in the caller's buffer.
-    Line,
-    /// The line exceeded the cap; it was discarded through its newline.
-    TooLong,
-    Eof,
-}
-
-/// Reads one `\n`-terminated line into `line`, refusing to buffer more
-/// than `max` bytes: once a line overflows, the remainder is consumed and
-/// discarded until its newline and `TooLong` is returned. Works on
-/// `fill_buf`/`consume` so no input byte is ever lost or double-read. A
-/// final unterminated line at EOF is returned as a normal line.
-///
-/// Public so the cluster router (`apcm-cluster`) applies the same inbound
-/// hardening to its client connections.
-pub fn read_capped_line(
-    reader: &mut impl BufRead,
-    line: &mut String,
-    max: usize,
-) -> std::io::Result<LineOutcome> {
-    line.clear();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(if overflowed {
-                LineOutcome::TooLong
-            } else if buf.is_empty() {
-                LineOutcome::Eof
-            } else {
-                *line = String::from_utf8_lossy(&buf).into_owned();
-                LineOutcome::Line
-            });
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !overflowed && buf.len() + pos <= max {
-                    buf.extend_from_slice(&available[..pos]);
-                } else {
-                    overflowed = true;
-                }
-                reader.consume(pos + 1);
-                return Ok(if overflowed {
-                    LineOutcome::TooLong
-                } else {
-                    *line = String::from_utf8_lossy(&buf).into_owned();
-                    LineOutcome::Line
-                });
-            }
-            None => {
-                let n = available.len();
-                if !overflowed && buf.len() + n <= max {
-                    buf.extend_from_slice(available);
-                } else {
-                    overflowed = true;
-                    buf.clear();
-                }
-                reader.consume(n);
-            }
+            self.delivery
+                .deliver(&self.schema, item.conn, item.seq, &item.event, row, false);
         }
     }
 }
@@ -333,9 +195,7 @@ impl Server {
         let hub = Arc::new(Hub {
             schema,
             stats: stats.clone(),
-            policy: config.slow_consumer,
-            handle: OnceLock::new(),
-            owners: RwLock::new(HashMap::new()),
+            delivery: Delivery::new(config.slow_consumer),
             live: RwLock::new(recovered_live),
             ownership: RwLock::new(None),
         });
@@ -417,7 +277,7 @@ impl Server {
         };
         let event_loop =
             apcm_netio::EventLoop::start(listener, Arc::new(BrokerService::new(ctx)), options)?;
-        let _ = hub.handle.set(event_loop.handle());
+        hub.delivery.attach(&event_loop.handle());
 
         Ok(Server {
             hub,
@@ -522,7 +382,7 @@ impl Server {
                 self.engine.summary_bits_set() as u64,
                 self.engine.summary_rebuilds(),
             ),
-            self.hub.netio_gauges(),
+            self.hub.delivery.gauges(),
         );
         out.push_str(&format!("engine {}\n", self.engine.engine_name()));
         out.push_str(&format!("shards {}\n", self.engine.shard_count()));
@@ -734,7 +594,7 @@ impl ReplicaRunner {
                         }
                         ReplayOp::Unsub(id) => {
                             self.hub.live.write().remove(id);
-                            self.hub.owners.write().remove(id);
+                            self.hub.delivery.owners.write().remove(id);
                         }
                     }
                     applied = record.seq;
@@ -770,6 +630,7 @@ impl ReplicaRunner {
     /// what is actually matchable.
     fn install_live(&self, fresh: HashMap<SubId, u64>) {
         self.hub
+            .delivery
             .owners
             .write()
             .retain(|id, _| fresh.contains_key(id));
@@ -1116,7 +977,7 @@ impl ReshardRunner {
         match self.persist.apply_unsub(&self.engine, id) {
             Ok(Some(_)) => {
                 self.hub.live.write().remove(&id);
-                self.hub.owners.write().remove(&id);
+                self.hub.delivery.owners.write().remove(&id);
                 ServerStats::add(&self.hub.stats.reshard_pull_applied, 1);
                 Ok(())
             }
@@ -1260,60 +1121,5 @@ impl ReshardRunner {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Cursor;
-
-    fn capped(input: &[u8], max: usize) -> Vec<(String, bool)> {
-        let mut reader = BufReader::with_capacity(4, Cursor::new(input.to_vec()));
-        let mut line = String::new();
-        let mut out = Vec::new();
-        loop {
-            match read_capped_line(&mut reader, &mut line, max).unwrap() {
-                LineOutcome::Line => out.push((line.clone(), false)),
-                LineOutcome::TooLong => out.push((String::new(), true)),
-                LineOutcome::Eof => return out,
-            }
-        }
-    }
-
-    #[test]
-    fn capped_reader_splits_lines() {
-        let out = capped(b"alpha\nbeta\n", 64);
-        assert_eq!(out, vec![("alpha".into(), false), ("beta".into(), false)]);
-    }
-
-    #[test]
-    fn capped_reader_returns_final_unterminated_line() {
-        let out = capped(b"alpha\nbeta", 64);
-        assert_eq!(out, vec![("alpha".into(), false), ("beta".into(), false)]);
-    }
-
-    #[test]
-    fn capped_reader_discards_oversized_line_and_recovers() {
-        let mut input = vec![b'x'; 100];
-        input.push(b'\n');
-        input.extend_from_slice(b"ok\n");
-        let out = capped(&input, 10);
-        assert_eq!(out, vec![(String::new(), true), ("ok".into(), false)]);
-    }
-
-    #[test]
-    fn capped_reader_handles_oversized_tail_without_newline() {
-        let input = vec![b'y'; 50];
-        let out = capped(&input, 10);
-        assert_eq!(out, vec![(String::new(), true)]);
-    }
-
-    #[test]
-    fn capped_reader_accepts_line_exactly_at_cap() {
-        let mut input = vec![b'z'; 10];
-        input.push(b'\n');
-        let out = capped(&input, 10);
-        assert_eq!(out, vec![("z".repeat(10), false)]);
     }
 }

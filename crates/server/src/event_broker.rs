@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use apcm_netio::{CloseReason, ConnId, Line, LoopHandle, SendOutcome, Service, Verdict};
 
+use crate::framing::Framing;
 use crate::replication::FollowerConn;
-use crate::request::{on_conn_line, ConnCtx, ConnState, Flow, LineInput};
+use crate::request::{on_conn_line, ConnCtx};
 use crate::stats::ServerStats;
 
 pub(crate) struct BrokerService {
@@ -44,46 +45,35 @@ impl FollowerConn for LoopFollower {
 }
 
 impl Service for BrokerService {
-    type Session = ConnState;
+    type Session = Framing;
 
-    fn on_open(&self, _conn: ConnId, handle: &Arc<LoopHandle>) -> ConnState {
-        // Publish the handle into the hub here too: `Server::start` sets
-        // it right after `EventLoop::start` returns, but a connection
-        // accepted in that gap could PUB and need its RESULT routed
-        // before the cell is otherwise populated.
-        let _ = self.ctx.hub.handle.set(handle.clone());
+    fn on_open(&self, _conn: ConnId, handle: &Arc<LoopHandle>) -> Framing {
+        self.ctx.hub.delivery.attach(handle);
         ServerStats::add(&self.ctx.hub.stats.conns_total, 1);
         ServerStats::add(&self.ctx.hub.stats.conns_active, 1);
-        ConnState::default()
+        Framing::default()
     }
 
-    fn on_line(&self, session: &mut ConnState, conn: ConnId, line: Line<'_>) -> Verdict {
-        let hub = &self.ctx.hub;
-        let mut reply = |text: String| hub.reply(conn, text);
+    fn on_line(&self, session: &mut Framing, conn: ConnId, line: Line<'_>) -> Verdict {
+        let delivery = &self.ctx.hub.delivery;
+        let mut reply = |text: String| delivery.reply(conn, text);
         let mut make_follower = || -> std::io::Result<Box<dyn FollowerConn>> {
             Ok(Box::new(LoopFollower {
-                handle: hub.handle.get().expect("on_open set the handle").clone(),
+                handle: delivery.handle().expect("on_open attached it").clone(),
                 conn,
             }))
         };
-        let input = match line {
-            Line::Text(text) => LineInput::Text(text),
-            Line::TooLong => LineInput::TooLong,
-        };
-        match on_conn_line(
+        on_conn_line(
             &self.ctx,
             conn,
             session,
-            input,
+            line,
             &mut reply,
             &mut make_follower,
-        ) {
-            Flow::Continue => Verdict::Continue,
-            Flow::Close => Verdict::Close,
-        }
+        )
     }
 
-    fn on_close(&self, _session: &mut ConnState, conn: ConnId, reason: CloseReason) {
+    fn on_close(&self, _session: &mut Framing, conn: ConnId, reason: CloseReason) {
         // If this connection was a replication feed, drop its follower
         // slot so the lag gauge stops tracking it.
         if let Some(p) = &self.ctx.persist {

@@ -27,8 +27,10 @@
 pub mod broker;
 pub mod client;
 pub mod config;
+pub mod delivery;
 pub mod engine;
 mod event_broker;
+pub mod framing;
 pub mod ingest;
 pub mod persist;
 pub mod protocol;
@@ -38,12 +40,14 @@ pub mod ring;
 pub mod shard;
 pub mod stats;
 
-pub use broker::{read_capped_line, LineOutcome, Server};
+pub use broker::Server;
 pub use client::{is_timeout_error, BrokerClient, ConnectOptions};
 pub use config::{
     EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy, SnapshotFormat,
 };
+pub use delivery::{Delivery, DeliveryGauges};
 pub use engine::ShardEngine;
+pub use framing::{Framed, Framing, FramingCounters, Publish};
 pub use ingest::{IngestItem, IngestPipeline, ResultSink};
 pub use persist::{Persister, RecoveryReport, SnapshotOutcome, StreamStart};
 pub use protocol::{ReplicateStart, ReshardCmd, RingSpec, RoleReport};

@@ -2,21 +2,20 @@
 //!
 //! The event-loop broker's `Service::on_line` funnels every framed line
 //! through [`on_conn_line`], so the wire protocol — reply text, counter
-//! bumps, ack-before-submit ordering, batch framing — is defined here.
-//! `BATCH` payload lines arrive one readiness callback at a time, so
-//! they are modeled as connection state: a [`ConnState`] in batch mode
-//! routes the next `count` lines into the accumulator and acks only when
-//! the batch completes.
+//! bumps, ack-before-submit ordering — is defined here. `PUB` sequences
+//! and `BATCH` payload accumulation are the shared [`Framing`] state
+//! machine's, which the cluster router drives too.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use apcm_bexpr::Event;
+use apcm_netio::{Line, Verdict};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::broker::{sub_fingerprint, Hub, ReplicaRunner, ReshardRunner};
+use crate::framing::{Framed, Framing, FramingCounters, Publish};
 use crate::ingest::IngestItem;
 use crate::persist::failpoint::{self, FailAction};
 use crate::persist::{ChurnError, Persister};
@@ -59,44 +58,10 @@ impl ConnCtx {
         let hub = self.hub.clone();
         let handle = std::thread::Builder::new()
             .name("apcm-blocking".into())
-            .spawn(move || hub.reply(conn_id, job()))
+            .spawn(move || hub.delivery.reply(conn_id, job()))
             .expect("spawning blocking-request thread");
         self.helper_threads.lock().push(handle);
     }
-}
-
-/// One framed inbound line.
-pub(crate) enum LineInput<'a> {
-    Text(&'a str),
-    /// The line exceeded `max_line_bytes` and was discarded through its
-    /// newline by the framer.
-    TooLong,
-}
-
-/// What the dispatcher wants done with the connection afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Flow {
-    Continue,
-    /// Flush queued replies, then close (QUIT, or ingest shut down).
-    Close,
-}
-
-/// In-flight `BATCH`: the next `count` lines are event payloads.
-struct BatchAccum {
-    first_seq: u64,
-    count: usize,
-    /// Payload lines consumed so far (parsed or not — a bad or oversized
-    /// line still uses up its slot).
-    index: usize,
-    events: Vec<(u64, Event)>,
-}
-
-/// Per-connection protocol state.
-#[derive(Default)]
-pub(crate) struct ConnState {
-    /// Publisher-local sequence minted for PUB/BATCH events.
-    next_seq: u64,
-    batch: Option<BatchAccum>,
 }
 
 /// The migration-era ring ownership filter: with a scope installed (by
@@ -115,76 +80,35 @@ fn refuse_unowned(ctx: &ConnCtx, id: apcm_bexpr::SubId, reply: &mut dyn FnMut(St
     refused
 }
 
-/// Executes one framed line for a connection: parses it (or routes it
+/// Executes one framed line for a connection: frames it (or routes it
 /// into an in-flight batch), performs the request, and emits replies via
 /// `reply`. `make_follower` materializes this connection's outbound face
 /// when a `REPLICATE` handshake turns it into a replication feed.
 pub(crate) fn on_conn_line(
     ctx: &ConnCtx,
     conn_id: u64,
-    state: &mut ConnState,
-    input: LineInput<'_>,
+    framing: &mut Framing,
+    line: Line<'_>,
     reply: &mut dyn FnMut(String),
     make_follower: &mut dyn FnMut() -> std::io::Result<Box<dyn FollowerConn>>,
-) -> Flow {
+) -> Verdict {
     let stats = &ctx.hub.stats;
-
-    // Batch mode: the next `count` lines are event payloads, not requests.
-    if state.batch.is_some() {
-        let parsed = match input {
-            LineInput::TooLong => {
-                let batch = state.batch.as_ref().expect("checked above");
-                ServerStats::add(&stats.oversized_lines, 1);
-                ServerStats::add(&stats.protocol_errors, 1);
-                reply(format!("-ERR batch line {}: line too long", batch.index));
-                None
-            }
-            LineInput::Text(line) => {
-                match apcm_bexpr::parser::parse_event(&ctx.hub.schema, line.trim()) {
-                    Ok(event) => Some(event),
-                    Err(e) => {
-                        let batch = state.batch.as_ref().expect("checked above");
-                        ServerStats::add(&stats.protocol_errors, 1);
-                        reply(format!("-ERR batch line {}: bad event: {e}", batch.index));
-                        None
-                    }
-                }
-            }
-        };
-        let batch = state.batch.as_mut().expect("checked above");
-        if let Some(event) = parsed {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            ServerStats::add(&stats.events_in, 1);
-            batch.events.push((seq, event));
-        }
-        batch.index += 1;
-        if batch.index >= batch.count {
-            let batch = state.batch.take().expect("checked above");
-            return finish_batch(ctx, conn_id, batch, reply);
-        }
-        return Flow::Continue;
-    }
-
-    let line = match input {
-        LineInput::Text(line) => line,
-        LineInput::TooLong => {
-            ServerStats::add(&stats.oversized_lines, 1);
-            ServerStats::add(&stats.protocol_errors, 1);
-            reply(format!(
-                "-ERR line too long (max {} bytes)",
-                ctx.max_line_bytes
-            ));
-            return Flow::Continue;
-        }
+    let counters = FramingCounters {
+        oversized_lines: &stats.oversized_lines,
+        protocol_errors: &stats.protocol_errors,
+    };
+    let line = match framing.feed(line, &ctx.hub.schema, ctx.max_line_bytes, counters, reply) {
+        Framed::Request(line) => line,
+        Framed::Publish(publish) => return submit(ctx, conn_id, publish, reply),
+        Framed::Consumed => return Verdict::Continue,
     };
     let request = match protocol::parse_request(&ctx.hub.schema, line) {
         Ok(Some(req)) => req,
-        Ok(None) => return Flow::Continue,
+        Ok(None) => return Verdict::Continue,
         Err(msg) => {
             ServerStats::add(&stats.protocol_errors, 1);
             reply(format!("-ERR {msg}"));
-            return Flow::Continue;
+            return Verdict::Continue;
         }
     };
     match request {
@@ -194,10 +118,10 @@ pub(crate) fn on_conn_line(
                 // only, so the follower never diverges from its
                 // primary. Matching (PUB/BATCH) stays available.
                 reply(protocol::READ_ONLY_REPLICA_ERR.to_string());
-                return Flow::Continue;
+                return Verdict::Continue;
             }
             if refuse_unowned(ctx, id, reply) {
-                return Flow::Continue;
+                return Verdict::Continue;
             }
             // `Ok(Some(applied))` means the sub is live; a durable broker
             // additionally carries the appended record's log sequence,
@@ -214,7 +138,7 @@ pub(crate) fn on_conn_line(
             };
             match outcome {
                 Ok(Some(seq)) => {
-                    ctx.hub.owners.write().insert(id, conn_id);
+                    ctx.hub.delivery.owners.write().insert(id, conn_id);
                     ctx.hub.live.write().insert(id, sub_fingerprint(&sub));
                     ServerStats::add(&stats.subs_added, 1);
                     reply(protocol::render_churn_ack(id, seq));
@@ -227,7 +151,7 @@ pub(crate) fn on_conn_line(
                     let identical =
                         ctx.hub.live.read().get(&id).copied() == Some(sub_fingerprint(&sub));
                     if identical {
-                        ctx.hub.owners.write().insert(id, conn_id);
+                        ctx.hub.delivery.owners.write().insert(id, conn_id);
                         ServerStats::add(&stats.subs_reclaimed, 1);
                         reply(format!("+OK claimed {}", id.0));
                     } else {
@@ -249,10 +173,10 @@ pub(crate) fn on_conn_line(
         Request::Unsub { id } => {
             if ctx.role.is_replica() {
                 reply(protocol::READ_ONLY_REPLICA_ERR.to_string());
-                return Flow::Continue;
+                return Verdict::Continue;
             }
             if refuse_unowned(ctx, id, reply) {
-                return Flow::Continue;
+                return Verdict::Continue;
             }
             let outcome: Result<Option<Option<u64>>, ChurnError> = match &ctx.persist {
                 Some(p) => p.apply_unsub(&ctx.engine, id).map(|s| s.map(Some)),
@@ -260,7 +184,7 @@ pub(crate) fn on_conn_line(
             };
             match outcome {
                 Ok(Some(seq)) => {
-                    ctx.hub.owners.write().remove(&id);
+                    ctx.hub.delivery.owners.write().remove(&id);
                     ctx.hub.live.write().remove(&id);
                     ServerStats::add(&stats.subs_removed, 1);
                     reply(protocol::render_churn_ack(id, seq));
@@ -277,10 +201,10 @@ pub(crate) fn on_conn_line(
             // a broker restart (recovered subscriptions have no owning
             // connection until someone claims them).
             if refuse_unowned(ctx, id, reply) {
-                return Flow::Continue;
+                return Verdict::Continue;
             }
             if ctx.hub.live.read().contains_key(&id) {
-                ctx.hub.owners.write().insert(id, conn_id);
+                ctx.hub.delivery.owners.write().insert(id, conn_id);
                 ServerStats::add(&stats.subs_reclaimed, 1);
                 reply(format!("+OK claimed {}", id.0));
             } else {
@@ -288,37 +212,8 @@ pub(crate) fn on_conn_line(
                 reply(format!("-ERR unknown subscription {}", id.0));
             }
         }
-        Request::Pub { event } => {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            ServerStats::add(&stats.events_in, 1);
-            // Ack first — the event's RESULT must never precede it.
-            reply(format!("+OK {seq}"));
-            if ctx
-                .ingest
-                .send(IngestItem {
-                    conn: conn_id,
-                    seq,
-                    event,
-                })
-                .is_err()
-            {
-                reply("-ERR server shutting down".into());
-                return Flow::Close;
-            }
-        }
-        Request::Batch { count } => {
-            let batch = BatchAccum {
-                first_seq: state.next_seq,
-                count,
-                index: 0,
-                events: Vec::with_capacity(count),
-            };
-            if count == 0 {
-                return finish_batch(ctx, conn_id, batch, reply);
-            }
-            state.batch = Some(batch);
-        }
+        Request::Pub { event } => return submit(ctx, conn_id, framing.publish(event), reply),
+        Request::Batch { count } => framing.open_batch(count),
         Request::Stats => {
             let body = stats.render(
                 &ctx.engine.per_shard_len(),
@@ -329,7 +224,7 @@ pub(crate) fn on_conn_line(
                     ctx.engine.summary_bits_set() as u64,
                     ctx.engine.summary_rebuilds(),
                 ),
-                ctx.hub.netio_gauges(),
+                ctx.hub.delivery.gauges(),
             );
             // One queued string so async RESULT/EVENT lines cannot
             // interleave inside the multi-line response.
@@ -379,7 +274,7 @@ pub(crate) fn on_conn_line(
                     Err(e) => {
                         ServerStats::add(&stats.protocol_errors, 1);
                         reply(format!("-ERR bad replicate ring: {e}"));
-                        return Flow::Continue;
+                        return Verdict::Continue;
                     }
                 };
                 let registered = make_follower().and_then(|conn| {
@@ -391,7 +286,7 @@ pub(crate) fn on_conn_line(
                     // connection now doubles as a feed — REPLACKs keep
                     // arriving through this loop.
                     Ok(_start) => {
-                        ServerStats::add(&stats.replies_sent, 1);
+                        ServerStats::add(&ctx.hub.delivery.replies_sent, 1);
                     }
                     Err(e) => reply(format!("-ERR replicate failed: {e}")),
                 }
@@ -411,7 +306,7 @@ pub(crate) fn on_conn_line(
                 Some(FailAction::Stall(ms)) => {
                     std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
-                Some(_) => return Flow::Continue,
+                Some(_) => return Verdict::Continue,
                 None => {}
             }
             if let Some(p) = &ctx.persist {
@@ -471,12 +366,12 @@ pub(crate) fn on_conn_line(
             } => {
                 if ctx.role.is_replica() {
                     reply(protocol::READ_ONLY_REPLICA_ERR.to_string());
-                    return Flow::Continue;
+                    return Verdict::Continue;
                 }
                 let Some(runner) = &ctx.reshard else {
                     ServerStats::add(&stats.protocol_errors, 1);
                     reply("-ERR persistence required for resharding".into());
-                    return Flow::Continue;
+                    return Verdict::Continue;
                 };
                 let parsed =
                     RingScope::parse(&scope.members_csv, &scope.keep_csv).and_then(|scope| {
@@ -513,12 +408,12 @@ pub(crate) fn on_conn_line(
             ReshardCmd::Prune { scope } => {
                 if ctx.role.is_replica() {
                     reply(protocol::READ_ONLY_REPLICA_ERR.to_string());
-                    return Flow::Continue;
+                    return Verdict::Continue;
                 }
                 let Some(p) = &ctx.persist else {
                     ServerStats::add(&stats.protocol_errors, 1);
                     reply("-ERR persistence required for resharding".into());
-                    return Flow::Continue;
+                    return Verdict::Continue;
                 };
                 match RingScope::parse(&scope.members_csv, &scope.keep_csv) {
                     Ok(parsed) => {
@@ -536,7 +431,7 @@ pub(crate) fn on_conn_line(
                             match p.apply_unsub(&ctx.engine, id) {
                                 Ok(Some(_)) => {
                                     ctx.hub.live.write().remove(&id);
-                                    ctx.hub.owners.write().remove(&id);
+                                    ctx.hub.delivery.owners.write().remove(&id);
                                     pruned += 1;
                                 }
                                 Ok(None) => {}
@@ -582,28 +477,20 @@ pub(crate) fn on_conn_line(
         Request::Ping => reply("+PONG".into()),
         Request::Quit => {
             reply("+OK bye".into());
-            return Flow::Close;
+            return Verdict::Close;
         }
     }
-    Flow::Continue
+    Verdict::Continue
 }
 
-/// Acks a completed batch and submits its events. The ack precedes the
-/// submits: the ingest pipeline can flush a full window (and push its
-/// RESULT lines) immediately, and the wire contract promises the ack
-/// comes first.
-fn finish_batch(
-    ctx: &ConnCtx,
-    conn_id: u64,
-    batch: BatchAccum,
-    reply: &mut dyn FnMut(String),
-) -> Flow {
-    reply(format!(
-        "+OK batch {} {}",
-        batch.first_seq,
-        batch.events.len()
-    ));
-    for (seq, event) in batch.events {
+/// Acks a `PUB` or completed `BATCH` and submits its events. The ack
+/// precedes the submits: the ingest pipeline can flush a full window (and
+/// push its RESULT lines) immediately, and the wire contract promises the
+/// ack comes first.
+fn submit(ctx: &ConnCtx, conn_id: u64, publish: Publish, reply: &mut dyn FnMut(String)) -> Verdict {
+    reply(publish.ack);
+    ServerStats::add(&ctx.hub.stats.events_in, publish.events.len() as u64);
+    for (seq, event) in publish.events {
         if ctx
             .ingest
             .send(IngestItem {
@@ -613,9 +500,10 @@ fn finish_batch(
             })
             .is_err()
         {
+            // Flush queued replies, then close.
             reply("-ERR server shutting down".into());
-            return Flow::Close;
+            return Verdict::Close;
         }
     }
-    Flow::Continue
+    Verdict::Continue
 }

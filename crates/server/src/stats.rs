@@ -1,6 +1,8 @@
 //! Lock-free server counters and the `STATS` snapshot.
 
 use apcm_core::MaintenanceReport;
+
+use crate::delivery::DeliveryGauges;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -62,12 +64,6 @@ pub struct ServerStats {
     pub windows: AtomicU64,
     /// Total (event, subscription) match pairs produced.
     pub matches: AtomicU64,
-    /// Notification / result lines delivered to client queues.
-    pub replies_sent: AtomicU64,
-    /// Lines dropped because a consumer's queue was full.
-    pub replies_dropped: AtomicU64,
-    /// Connections force-closed by the slow-consumer policy.
-    pub slow_disconnects: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub conns_total: AtomicU64,
     /// Currently open connections.
@@ -201,16 +197,15 @@ impl ServerStats {
     /// when it tracks them (see [`crate::ShardedEngine::kernel_counters`]).
     /// `summary` is the engine's `(epoch, bits_set, rebuilds)` triple for
     /// the coarse predicate-space summary served to cluster routers.
-    /// `netio` carries the event loop's gauges — `(connections_open,
-    /// epoll_wakeups, outbound_queue_lines, conns_rejected)`; the loop
-    /// counts admission-cap refusals itself.
+    /// `delivery` carries the delivery counters and the event loop's
+    /// gauges; the loop counts admission-cap refusals itself.
     pub fn render(
         &self,
         per_shard_subs: &[usize],
         ingest_depth: usize,
         kernel_counters: Option<(u64, u64, u64)>,
         summary: (u64, u64, u64),
-        netio: (u64, u64, u64, u64),
+        delivery: DeliveryGauges,
     ) -> String {
         let mut out = String::new();
         let mut push = |key: &str, value: u64| {
@@ -223,16 +218,15 @@ impl ServerStats {
         push("events_matched", Self::get(&self.events_matched));
         push("windows", Self::get(&self.windows));
         push("matches", Self::get(&self.matches));
-        push("replies_sent", Self::get(&self.replies_sent));
-        push("replies_dropped", Self::get(&self.replies_dropped));
-        push("slow_disconnects", Self::get(&self.slow_disconnects));
+        push("replies_sent", delivery.replies_sent);
+        push("replies_dropped", delivery.replies_dropped);
+        push("slow_disconnects", delivery.slow_disconnects);
         push("conns_total", Self::get(&self.conns_total));
         push("conns_active", Self::get(&self.conns_active));
-        let (open, wakeups, outbound, rejected) = netio;
-        push("conns_rejected", rejected);
-        push("connections_open", open);
-        push("epoll_wakeups", wakeups);
-        push("outbound_queue_lines", outbound);
+        push("conns_rejected", delivery.conns_rejected);
+        push("connections_open", delivery.connections_open);
+        push("epoll_wakeups", delivery.epoll_wakeups);
+        push("outbound_queue_lines", delivery.outbound_queue_lines);
         push("subs_added", Self::get(&self.subs_added));
         push("subs_removed", Self::get(&self.subs_removed));
         push("subs_reclaimed", Self::get(&self.subs_reclaimed));
@@ -353,7 +347,8 @@ mod tests {
     fn render_includes_shards_and_counters() {
         let stats = ServerStats::default();
         ServerStats::add(&stats.events_in, 7);
-        let text = stats.render(&[3, 4], 2, None, (1, 0, 0), (0, 0, 0, 0));
+        let none = DeliveryGauges::default();
+        let text = stats.render(&[3, 4], 2, None, (1, 0, 0), none);
         assert!(text.contains("events_in 7\n"));
         assert!(text.contains("shard_0_subs 3\n"));
         assert!(text.contains("shard_1_subs 4\n"));
@@ -367,7 +362,7 @@ mod tests {
         assert!(text.contains("summary_epoch 1\n"));
         assert!(!text.contains("kernel_probes"));
 
-        let text = stats.render(&[3, 4], 2, Some((10, 4, 6)), (4, 12, 1), (0, 0, 0, 0));
+        let text = stats.render(&[3, 4], 2, Some((10, 4, 6)), (4, 12, 1), none);
         assert!(text.contains("summary_epoch 4\n"));
         assert!(text.contains("summary_bits_set 12\n"));
         assert!(text.contains("summary_rebuilds 1\n"));
@@ -379,7 +374,16 @@ mod tests {
     #[test]
     fn render_reports_event_loop_gauges() {
         let stats = ServerStats::default();
-        let text = stats.render(&[1], 0, None, (1, 0, 0), (9, 100, 3, 5));
+        let delivery = DeliveryGauges {
+            replies_dropped: 2,
+            connections_open: 9,
+            epoll_wakeups: 100,
+            outbound_queue_lines: 3,
+            conns_rejected: 5,
+            ..DeliveryGauges::default()
+        };
+        let text = stats.render(&[1], 0, None, (1, 0, 0), delivery);
+        assert!(text.contains("replies_dropped 2\n"));
         assert!(text.contains("conns_rejected 5\n"));
         assert!(text.contains("connections_open 9\n"));
         assert!(text.contains("epoll_wakeups 100\n"));
