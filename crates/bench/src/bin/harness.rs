@@ -17,7 +17,7 @@ use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_core::{AdaptiveConfig, ApcmConfig, ApcmMatcher, ClusteringPolicy, Executor, PcmMatcher};
 use apcm_server::{
     route_partition, BrokerClient, EngineChoice, PersistConfig, Ring, Server, ServerConfig,
-    ServerStats, SnapshotFormat,
+    ServerStats,
 };
 use apcm_workload::{DriftingStream, ValueDist, Workload, WorkloadSpec};
 use std::time::{Duration, Instant};
@@ -1366,220 +1366,198 @@ fn e18_chains(args: &Args) {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
-/// E15 — snapshot format: text v1 vs colstore v2. For each format, one
-/// primary takes a full snapshot under live churn (file size, wall time,
-/// and the longest churn-ack stall), restarts from it (recovery time),
-/// and bootstraps a fresh follower (bytes shipped, catch-up time). The
-/// colstore arm additionally dirties one partition and writes a delta.
+/// E15 — colstore snapshots. One primary takes a full snapshot under
+/// live churn (file size, wall time, and the longest churn-ack stall),
+/// restarts from it (recovery time), dirties one partition and writes a
+/// delta, and bootstraps a fresh follower (bytes shipped, catch-up time).
 fn e15_colstore(args: &Args) {
-    println!("## E15 — snapshot format: text v1 vs colstore v2\n");
+    println!("## E15 — colstore snapshots: full, delta, recovery, bootstrap\n");
     let n = scaled(100_000, args.scale).min(20_000);
     let wl = base_spec(n, args.seed).build();
     let tmp = std::env::temp_dir().join(format!("apcm-e15-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
+    let label = "colstore";
+    let dir = tmp.join(label);
 
     let mut table = Table::new(vec![
-        "format",
         "snapshot",
+        "size",
         "write ms",
         "stall ms",
         "recovery ms",
         "bootstrap",
         "catch-up ms",
     ]);
-    let mut sizes = Vec::new();
-    for format in [SnapshotFormat::Text, SnapshotFormat::Colstore] {
-        let label = format.name();
-        let dir = tmp.join(label);
-        let config = ServerConfig {
-            shards: 2,
-            engine: EngineChoice::Apcm,
-            flush_interval: Duration::from_millis(2),
-            persist: Some(PersistConfig {
-                format,
-                snapshot_interval: None,
-                ..PersistConfig::new(&dir)
-            }),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(wl.schema.clone(), config.clone(), "127.0.0.1:0").unwrap();
-        let mut client = BrokerClient::connect(&server.local_addr().to_string()).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(120)))
-            .unwrap();
-        for sub in &wl.subs {
-            client.subscribe(sub, &wl.schema).unwrap();
-        }
+    let config = ServerConfig {
+        shards: 2,
+        engine: EngineChoice::Apcm,
+        flush_interval: Duration::from_millis(2),
+        persist: Some(PersistConfig {
+            snapshot_interval: None,
+            ..PersistConfig::new(&dir)
+        }),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(wl.schema.clone(), config.clone(), "127.0.0.1:0").unwrap();
+    let mut client = BrokerClient::connect(&server.local_addr().to_string()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    for sub in &wl.subs {
+        client.subscribe(sub, &wl.schema).unwrap();
+    }
 
-        // Snapshot under live churn: a probe connection re-upserts one sub
-        // in a tight loop; its longest ack-to-ack gap is the churn stall
-        // the snapshot pass induced.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let probe = {
-            let addr = server.local_addr().to_string();
-            let stop = stop.clone();
-            let schema = wl.schema.clone();
-            let sub = wl.subs[0].clone();
-            std::thread::spawn(move || {
-                let mut c = BrokerClient::connect(&addr).unwrap();
-                c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-                let mut max_gap = Duration::ZERO;
-                let mut last = Instant::now();
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    c.subscribe(&sub, &schema).unwrap();
-                    let now = Instant::now();
-                    max_gap = max_gap.max(now - last);
-                    last = now;
-                }
-                max_gap
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        let t0 = Instant::now();
-        client.snapshot().unwrap();
-        let write_ms = t0.elapsed().as_secs_f64() * 1e3;
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let stall_ms = probe.join().unwrap().as_secs_f64() * 1e3;
-        let snap_bytes = std::fs::metadata(dir.join("snapshot.apcm")).unwrap().len();
-        sizes.push(snap_bytes);
-
-        let param = format!("n={n}");
-        args.record(
-            "e15",
-            label,
-            param.clone(),
-            "snapshot_bytes",
-            snap_bytes as f64,
-        );
-        args.record("e15", label, param.clone(), "snapshot_write_ms", write_ms);
-        args.record("e15", label, param.clone(), "churn_max_stall_ms", stall_ms);
-
-        // Restart on the same dir: recovery = snapshot load + log replay.
-        client.quit().ok();
-        server.shutdown();
-        let t0 = Instant::now();
-        let server = Server::start(wl.schema.clone(), config, "127.0.0.1:0").unwrap();
-        let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(server.engine().len(), n, "{label}: recovery lost subs");
-        args.record("e15", label, param.clone(), "recovery_ms", recovery_ms);
-
-        // Colstore only: dirty one of the two partitions, then an
-        // incremental pass writes a delta instead of a full.
-        let mut delta_row = None;
-        if format == SnapshotFormat::Colstore {
-            let mut c = BrokerClient::connect(&server.local_addr().to_string()).unwrap();
+    // Snapshot under live churn: a probe connection re-upserts one sub in
+    // a tight loop; its longest ack-to-ack gap is the churn stall the
+    // snapshot pass induced.
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let probe = {
+        let addr = server.local_addr().to_string();
+        let stop = stop.clone();
+        let schema = wl.schema.clone();
+        let sub = wl.subs[0].clone();
+        std::thread::spawn(move || {
+            let mut c = BrokerClient::connect(&addr).unwrap();
             c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-            c.snapshot().unwrap(); // restart dropped the chain; re-anchor it
-            let target = route_partition(wl.subs[0].id(), 2);
-            let mut dirtied = 0usize;
-            // Unsubscribes: a duplicate SUB is a no-op, but removals are
-            // real churn confined to `target`, so only it goes dirty.
-            for sub in &wl.subs {
-                if route_partition(sub.id(), 2) == target {
-                    c.unsubscribe(sub.id()).unwrap();
-                    dirtied += 1;
-                    if dirtied > n / 20 {
-                        break;
-                    }
-                }
+            let mut max_gap = Duration::ZERO;
+            let mut last = Instant::now();
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                c.subscribe(&sub, &schema).unwrap();
+                let now = Instant::now();
+                max_gap = max_gap.max(now - last);
+                last = now;
             }
-            let t0 = Instant::now();
-            let outcome = server.snapshot_incremental().unwrap();
-            let delta_ms = t0.elapsed().as_secs_f64() * 1e3;
-            assert!(outcome.delta, "incremental pass fell back to a full");
-            let delta_bytes = std::fs::metadata(dir.join("snapshot-delta-1.col"))
-                .unwrap()
-                .len();
-            let dparam = format!("n={n} dirtied={dirtied}");
-            args.record(
-                "e15",
-                "colstore+delta",
-                dparam.clone(),
-                "snapshot_bytes",
-                delta_bytes as f64,
-            );
-            args.record(
-                "e15",
-                "colstore+delta",
-                dparam,
-                "snapshot_write_ms",
-                delta_ms,
-            );
-            delta_row = Some(vec![
-                "colstore+delta".into(),
-                fmt_bytes(delta_bytes as usize),
-                format!("{delta_ms:.1}"),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-            c.quit().ok();
-        }
+            max_gap
+        })
+    };
+    std::thread::sleep(Duration::from_millis(20));
+    let t0 = Instant::now();
+    client.snapshot().unwrap();
+    let write_ms = t0.elapsed().as_secs_f64() * 1e3;
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let stall_ms = probe.join().unwrap().as_secs_f64() * 1e3;
+    let snap_bytes = std::fs::metadata(dir.join("snapshot.apcm")).unwrap().len();
 
-        // Fresh follower from seq 0: the rotated log can't serve it, so
-        // the primary ships a full bootstrap in its snapshot format.
-        let rconfig = ServerConfig {
-            replica_of: Some(server.local_addr().to_string()),
-            shards: 2,
-            engine: EngineChoice::Apcm,
-            flush_interval: Duration::from_millis(2),
-            persist: Some(PersistConfig {
-                format,
-                snapshot_interval: None,
-                ..PersistConfig::new(tmp.join(format!("{label}-replica")))
-            }),
-            ..ServerConfig::default()
-        };
-        let target_seq = server.current_seq();
-        let t0 = Instant::now();
-        let replica = Server::start(wl.schema.clone(), rconfig, "127.0.0.1:0").unwrap();
-        loop {
-            if replica.current_seq() >= target_seq
-                && ServerStats::get(&replica.stats().repl_bootstraps) >= 1
-            {
+    let param = format!("n={n}");
+    args.record(
+        "e15",
+        label,
+        param.clone(),
+        "snapshot_bytes",
+        snap_bytes as f64,
+    );
+    args.record("e15", label, param.clone(), "snapshot_write_ms", write_ms);
+    args.record("e15", label, param.clone(), "churn_max_stall_ms", stall_ms);
+
+    // Restart on the same dir: recovery = snapshot load + log replay.
+    client.quit().ok();
+    server.shutdown();
+    let t0 = Instant::now();
+    let server = Server::start(wl.schema.clone(), config, "127.0.0.1:0").unwrap();
+    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(server.engine().len(), n, "recovery lost subs");
+    args.record("e15", label, param.clone(), "recovery_ms", recovery_ms);
+
+    // Dirty one of the two partitions, then an incremental pass writes a
+    // delta instead of a full.
+    let mut c = BrokerClient::connect(&server.local_addr().to_string()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    c.snapshot().unwrap(); // restart dropped the chain; re-anchor it
+    let target = route_partition(wl.subs[0].id(), 2);
+    let mut dirtied = 0usize;
+    // Unsubscribes: a duplicate SUB is a no-op, but removals are real
+    // churn confined to `target`, so only it goes dirty.
+    for sub in &wl.subs {
+        if route_partition(sub.id(), 2) == target {
+            c.unsubscribe(sub.id()).unwrap();
+            dirtied += 1;
+            if dirtied > n / 20 {
                 break;
             }
-            assert!(
-                t0.elapsed() < Duration::from_secs(60),
-                "{label}: follower never bootstrapped"
-            );
-            std::thread::sleep(Duration::from_millis(2));
         }
-        let bootstrap_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let bootstrap_bytes = ServerStats::get(&server.stats().repl_bootstrap_bytes);
-        args.record(
-            "e15",
-            label,
-            param.clone(),
-            "bootstrap_bytes",
-            bootstrap_bytes as f64,
-        );
-        args.record("e15", label, param, "bootstrap_ms", bootstrap_ms);
+    }
+    let t0 = Instant::now();
+    let outcome = server.snapshot_incremental().unwrap();
+    let delta_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(outcome.delta, "incremental pass fell back to a full");
+    let delta_bytes = std::fs::metadata(dir.join("snapshot-delta-1.col"))
+        .unwrap()
+        .len();
+    let dparam = format!("n={n} dirtied={dirtied}");
+    args.record(
+        "e15",
+        "colstore+delta",
+        dparam.clone(),
+        "snapshot_bytes",
+        delta_bytes as f64,
+    );
+    args.record(
+        "e15",
+        "colstore+delta",
+        dparam,
+        "snapshot_write_ms",
+        delta_ms,
+    );
+    c.quit().ok();
 
-        table.row(vec![
-            label.into(),
-            fmt_bytes(snap_bytes as usize),
-            format!("{write_ms:.1}"),
-            format!("{stall_ms:.1}"),
-            format!("{recovery_ms:.1}"),
-            fmt_bytes(bootstrap_bytes as usize),
-            format!("{bootstrap_ms:.1}"),
-        ]);
-        if let Some(row) = delta_row {
-            table.row(row);
-        }
-        replica.shutdown();
-        server.shutdown();
-    }
-    table.print();
-    if let [text, col] = sizes[..] {
-        println!(
-            "(corpus {n}; colstore full snapshot is {:.1}x smaller than text; \
-             stall is the longest churn-ack gap while the pass ran)\n",
-            text as f64 / col as f64
+    // Fresh follower from seq 0: the rotated log can't serve it, so the
+    // primary ships a full colstore bootstrap.
+    let rconfig = ServerConfig {
+        replica_of: Some(server.local_addr().to_string()),
+        shards: 2,
+        engine: EngineChoice::Apcm,
+        flush_interval: Duration::from_millis(2),
+        persist: Some(PersistConfig {
+            snapshot_interval: None,
+            ..PersistConfig::new(tmp.join(format!("{label}-replica")))
+        }),
+        ..ServerConfig::default()
+    };
+    let target_seq = server.current_seq();
+    let t0 = Instant::now();
+    let replica = Server::start(wl.schema.clone(), rconfig, "127.0.0.1:0").unwrap();
+    while replica.current_seq() < target_seq
+        || ServerStats::get(&replica.stats().repl_bootstraps) == 0
+    {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "follower never bootstrapped"
         );
+        std::thread::sleep(Duration::from_millis(2));
     }
+    let bootstrap_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let bootstrap_bytes = ServerStats::get(&server.stats().repl_bootstrap_bytes);
+    args.record(
+        "e15",
+        label,
+        param.clone(),
+        "bootstrap_bytes",
+        bootstrap_bytes as f64,
+    );
+    args.record("e15", label, param, "bootstrap_ms", bootstrap_ms);
+
+    table.row(vec![
+        "full".into(),
+        fmt_bytes(snap_bytes as usize),
+        format!("{write_ms:.1}"),
+        format!("{stall_ms:.1}"),
+        format!("{recovery_ms:.1}"),
+        fmt_bytes(bootstrap_bytes as usize),
+        format!("{bootstrap_ms:.1}"),
+    ]);
+    table.row(vec![
+        "delta".into(),
+        fmt_bytes(delta_bytes as usize),
+        format!("{delta_ms:.1}"),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+    ]);
+    replica.shutdown();
+    server.shutdown();
+    table.print();
+    println!("(corpus {n}; stall is the longest churn-ack gap while the full pass ran)\n");
     let _ = std::fs::remove_dir_all(&tmp);
 }
 

@@ -171,7 +171,7 @@ pub struct LoadedFile {
 }
 
 /// Whether `bytes` start a colstore snapshot (the format sniff recovery
-/// uses to dispatch between the text v1 and binary v2 loaders).
+/// uses to tell a v2 file from a legacy text v1 one, which it refuses).
 pub fn is_colstore(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC
 }

@@ -492,16 +492,14 @@ impl ReplicaRunner {
             return;
         };
         let mut applied = self.persist.current_seq();
-        // `v2` advertises that this follower can decode a compressed
-        // colstore bootstrap; a primary on the text snapshot format still
-        // answers with the plain-frame form. `reset` (one-shot, after a
-        // failed truncate CRC probe) forces the wholesale bootstrap.
+        // `reset` (one-shot, after a failed truncate CRC probe) forces the
+        // wholesale bootstrap.
         let reset = if std::mem::take(force_reset) {
             " reset"
         } else {
             ""
         };
-        if !pull.send(&format!("REPLICATE {applied} v2{reset}")) {
+        if !pull.send(&format!("REPLICATE {applied}{reset}")) {
             return;
         }
 
@@ -538,9 +536,9 @@ impl ReplicaRunner {
                 return;
             }
         }
-        // Full bootstrap (either form): our log position is useless to
-        // the primary (predates its retained log, or is ahead of it after
-        // a failed promote), so the whole catalog image replaces ours.
+        // Full bootstrap: our log position is useless to the primary
+        // (predates its retained log, or is ahead of it after a failed
+        // promote), so the whole catalog image replaces ours.
         let Ok(bootstrap) = pull.read_bootstrap(start, applied, &live, &self.hub) else {
             return;
         };
@@ -712,13 +710,12 @@ impl PullStream {
         }
     }
 
-    /// Collects the whole catalog image a bootstrap handshake announces
-    /// (`snapshot` frames or colstore `BLOCK`s); `Ok(None)` for the forms
-    /// that carry none (log tail, truncate). Any corrupt frame or block
-    /// poisons the image: it is counted in `repl_crc_skipped`, and `Err`
-    /// tells the caller to drop the connection so the redial refetches
-    /// the image from scratch, skipping nothing, rather than install a
-    /// catalog with holes.
+    /// Collects the whole catalog image a colstore bootstrap announces as
+    /// `BLOCK` lines; `Ok(None)` for the forms that carry none (log tail,
+    /// truncate). Any corrupt block poisons the image: it is counted in
+    /// `repl_crc_skipped`, and `Err` tells the caller to drop the
+    /// connection so the redial refetches the image from scratch,
+    /// skipping nothing, rather than install a catalog with holes.
     fn read_bootstrap(
         &mut self,
         start: ReplicateStart,
@@ -729,23 +726,6 @@ impl PullStream {
         let skipped = || ServerStats::add(&hub.stats.repl_crc_skipped, 1);
         match start {
             ReplicateStart::Log { .. } | ReplicateStart::Truncate { .. } => Ok(None),
-            ReplicateStart::Snapshot { subs: count, seq } => {
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let line = self.next_line(ack, live).ok_or(())?;
-                    match parse_frame(&line, &hub.schema) {
-                        Ok(record) => match record.op {
-                            ReplayOp::Sub(sub) => subs.push(sub),
-                            ReplayOp::Unsub(_) => return Err(()),
-                        },
-                        Err(_) => {
-                            skipped();
-                            return Err(());
-                        }
-                    }
-                }
-                Ok(Some((subs, seq)))
-            }
             ReplicateStart::Colstore {
                 blocks,
                 subs: count,
@@ -1000,7 +980,7 @@ impl ReshardRunner {
         };
         let mut cursor = self.cursor.load(Ordering::SeqCst);
         if !pull.send(&format!(
-            "REPLICATE {cursor} v2 ring {} {}",
+            "REPLICATE {cursor} ring {} {}",
             scope.ring().to_csv(),
             scope.keep_csv()
         )) {

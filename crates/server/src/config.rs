@@ -99,38 +99,6 @@ impl FsyncPolicy {
     }
 }
 
-/// On-disk snapshot encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// Text v1 (`# apcm-snapshot v1`, one `sub` line per subscription).
-    /// Still readable on recovery regardless of this setting; selecting
-    /// it keeps *writing* the legacy format.
-    Text,
-    /// Block-columnar compressed v2 (`apcm-colstore`): dictionary-encoded
-    /// atoms, delta+varint ids, per-block LZSS + CRC framing, delta
-    /// snapshots, and compressed replication bootstrap. The default.
-    Colstore,
-}
-
-impl SnapshotFormat {
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "text" | "v1" => Ok(Self::Text),
-            "colstore" | "v2" => Ok(Self::Colstore),
-            other => Err(format!(
-                "unknown snapshot format `{other}` (expected text|colstore)"
-            )),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Text => "text",
-            Self::Colstore => "colstore",
-        }
-    }
-}
-
 /// Durability settings. `ServerConfig::persist = Some(..)` turns the
 /// broker's subscription set into durable state (see [`crate::persist`]).
 #[derive(Debug, Clone)]
@@ -149,9 +117,7 @@ pub struct PersistConfig {
     pub retry_backoff: Duration,
     /// Ceiling for the exponential backoff.
     pub max_retry_backoff: Duration,
-    /// Snapshot encoding written by this server (recovery auto-detects).
-    pub format: SnapshotFormat,
-    /// Colstore only: age-triggered background snapshots may serialize
+    /// Age-triggered background snapshots may serialize
     /// just the partitions dirtied since the last chain element, up to
     /// this many deltas stacked on one full before the next full is
     /// forced. `0` disables delta snapshots.
@@ -168,7 +134,6 @@ impl PersistConfig {
             rotate_log_bytes: 16 * 1024 * 1024,
             retry_backoff: Duration::from_millis(100),
             max_retry_backoff: Duration::from_secs(10),
-            format: SnapshotFormat::Colstore,
             max_delta_chain: 4,
         }
     }
@@ -385,24 +350,6 @@ mod tests {
             ..ServerConfig::default()
         };
         assert!(config.validate().is_err());
-    }
-
-    #[test]
-    fn snapshot_format_parses_and_defaults_to_colstore() {
-        assert_eq!(SnapshotFormat::parse("text").unwrap(), SnapshotFormat::Text);
-        assert_eq!(
-            SnapshotFormat::parse("colstore").unwrap(),
-            SnapshotFormat::Colstore
-        );
-        assert_eq!(
-            SnapshotFormat::parse("v2").unwrap(),
-            SnapshotFormat::Colstore
-        );
-        assert!(SnapshotFormat::parse("parquet").is_err());
-        let p = PersistConfig::new("/tmp/somewhere");
-        assert_eq!(p.format, SnapshotFormat::Colstore);
-        assert_eq!(p.format.name(), "colstore");
-        assert!(p.max_delta_chain > 0);
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //!   `SUB`/`UNSUB`, batch publishing, per-connection slow-consumer policy,
 //!   a background maintenance sweep, and [`ServerStats`] counters.
 //! * [`persist`] makes the subscription set durable: a checksummed
-//!   snapshot (block-columnar compressed colstore v2 by default, with
-//!   delta snapshots of dirty partitions; text v1 still supported) plus a
-//!   CRC-framed append-only churn log, replayed at startup with torn-tail
-//!   truncation and corrupt-record skipping.
+//!   snapshot (block-columnar compressed colstore v2, with delta
+//!   snapshots of dirty partitions) plus a CRC-framed append-only churn
+//!   log, replayed at startup with torn-tail truncation and
+//!   corrupt-record skipping.
 //! * [`replication`] ships that churn log to follower servers live: a
 //!   replica (`ServerConfig::replica_of`, or `DEMOTE` at runtime) pulls
-//!   `REPLICATE <from_seq>` — log tail or full snapshot bootstrap — and
+//!   `REPLICATE <from_seq>` — log tail or colstore bootstrap — and
 //!   applies each CRC-framed record to its own engine + persistence,
 //!   refusing client churn until `PROMOTE` flips it back to primary.
 
@@ -42,9 +42,7 @@ pub mod stats;
 
 pub use broker::Server;
 pub use client::{is_timeout_error, BrokerClient, ConnectOptions};
-pub use config::{
-    EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy, SnapshotFormat,
-};
+pub use config::{EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy};
 pub use delivery::{Delivery, DeliveryGauges};
 pub use engine::ShardEngine;
 pub use framing::{Framed, Framing, FramingCounters, Publish};

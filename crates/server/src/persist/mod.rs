@@ -5,9 +5,9 @@
 //!
 //! * `snapshot.apcm` — checksummed full snapshot (see [`snapshot`]),
 //!   written atomically (temp file + rename) by the maintenance sweep,
-//!   the `SNAPSHOT` admin command, or log-size rotation. Binary
-//!   block-columnar colstore v2 by default; text v1 via
-//!   `--snapshot-format text` (and always readable on recovery).
+//!   the `SNAPSHOT` admin command, or log-size rotation. Always binary
+//!   block-columnar colstore v2; a legacy text v1 file is refused at
+//!   open (see [`snapshot`]).
 //! * `snapshot-delta-N.col` + `snapshot.manifest` — colstore delta
 //!   snapshots: age-triggered background snapshots re-serialize only the
 //!   partitions dirtied since the chain's last element, chained onto the
@@ -49,7 +49,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::{FsyncPolicy, PersistConfig, SnapshotFormat};
+use crate::config::{FsyncPolicy, PersistConfig};
 use crate::replication::{send_chunk, FollowerConn, ReplicationHub};
 use crate::ring::RingScope;
 use crate::shard::{route_partition, ShardedEngine};
@@ -211,13 +211,9 @@ pub enum StreamStart {
     /// shipped, live tail follows.
     Log { backlog: usize },
     /// `from_seq` predated the retained log (or was ahead of the primary —
-    /// stale promote leftovers): the full catalog was shipped as a
-    /// text snapshot bootstrap (one SUB frame per subscription) at this
-    /// sequence.
-    Snapshot { subs: usize, seq: u64 },
-    /// Same trigger, but the follower spoke `REPLICATE <seq> v2` and this
-    /// primary runs the colstore format: the catalog was shipped as
-    /// compressed colstore blocks (base64 `BLOCK` lines).
+    /// stale promote leftovers), or the follower asked for a `reset`: the
+    /// full catalog was shipped at `seq` as compressed colstore blocks
+    /// (base64 `BLOCK` lines).
     Colstore {
         blocks: usize,
         subs: usize,
@@ -490,8 +486,8 @@ impl Persister {
     }
 
     /// Like [`Self::snapshot`], but writes a *delta* file (dirty
-    /// partitions only, chained by the manifest) when the colstore format
-    /// is active, a full already exists, fewer than `max_delta_chain`
+    /// partitions only, chained by the manifest) when a full already
+    /// exists, fewer than `max_delta_chain`
     /// deltas are stacked, and some partitions are still clean. Falls back
     /// to a full snapshot otherwise.
     pub fn snapshot_incremental(&self) -> io::Result<SnapshotOutcome> {
@@ -510,10 +506,7 @@ impl Persister {
             let seq = inner.log.seq();
             let mut subs: Vec<Subscription> = self.catalog.read().values().cloned().collect();
             subs.sort_by_key(|s| s.id());
-            let plan = if allow_delta
-                && self.config.format == SnapshotFormat::Colstore
-                && self.config.max_delta_chain > 0
-            {
+            let plan = if allow_delta && self.config.max_delta_chain > 0 {
                 inner.chain.as_ref().and_then(|chain| {
                     if chain.deltas.len() as u32 >= self.config.max_delta_chain {
                         return None;
@@ -570,24 +563,12 @@ impl Persister {
                 }
             }
         } else {
-            match snapshot::write(
-                &self.config.dir,
-                &self.schema,
-                &subs,
-                seq,
-                self.config.format,
-                self.partitions,
-            ) {
-                Ok(bytes) => {
+            match snapshot::write(&self.config.dir, &self.schema, &subs, seq, self.partitions) {
+                Ok((bytes, chain)) => {
                     let mut inner = self.inner.lock();
                     // Keep any churn that landed during compress+fsync.
                     inner.log.rotate_retaining(seq)?;
-                    inner.chain =
-                        (self.config.format == SnapshotFormat::Colstore).then(|| Manifest {
-                            partitions: self.partitions,
-                            full: (snapshot::SNAPSHOT_FILE.to_string(), seq),
-                            deltas: Vec::new(),
-                        });
+                    inner.chain = Some(chain);
                     inner.last_snapshot = Instant::now();
                     ServerStats::add(&self.stats.snapshots_taken, 1);
                     Ok(SnapshotOutcome {
@@ -711,7 +692,6 @@ impl Persister {
         &self,
         follower_id: u64,
         from_seq: u64,
-        v2: bool,
         reset: bool,
         scope: Option<&RingScope>,
         conn: Box<dyn FollowerConn>,
@@ -769,52 +749,35 @@ impl Persister {
                 None => self.catalog.read().values().cloned().collect(),
             };
             subs.sort_by_key(|s| s.id());
-            let n = subs.len();
-            let start = if v2 && self.config.format == SnapshotFormat::Colstore {
-                // Compressed bootstrap: the same prepare+compress path the
-                // snapshot writer uses, shipped as base64 `BLOCK` lines in
-                // one chunk. The follower CRC-checks every block and
-                // refetches the whole bootstrap on any mismatch.
-                let blocks = snapshot::prepare_blocks(&subs, &self.schema, self.partitions, None)?;
-                let mut chunk = format!("+OK replicate colstore {} {n} {current}", blocks.len());
-                for block in &blocks {
-                    chunk.push('\n');
-                    chunk.push_str(&format!(
-                        "BLOCK {} {} {} {:08x} {}",
-                        block.partition,
-                        block.rows,
-                        block.raw_len,
-                        block.crc,
-                        b64::encode(&block.data)
-                    ));
-                }
-                let nblocks = blocks.len();
-                ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
-                send_chunk(&*conn, chunk).map_err(io::Error::other)?;
-                StreamStart::Colstore {
-                    blocks: nblocks,
-                    subs: n,
-                    seq: current,
-                }
-            } else {
-                let mut chunk = format!("+OK replicate snapshot {n} {current}");
-                for sub in &subs {
-                    chunk.push('\n');
-                    chunk.push_str(&log::render_frame(
-                        current,
-                        &ChurnOp::Sub(sub),
-                        &self.schema,
-                    ));
-                }
-                ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
-                send_chunk(&*conn, chunk).map_err(io::Error::other)?;
-                StreamStart::Snapshot {
-                    subs: n,
-                    seq: current,
-                }
-            };
+            // The same prepare+compress path the snapshot writer uses,
+            // shipped as base64 `BLOCK` lines in one chunk. The follower
+            // CRC-checks every block and refetches the whole bootstrap on
+            // any mismatch.
+            let blocks = snapshot::prepare_blocks(&subs, &self.schema, self.partitions, None)?;
+            let mut chunk = format!(
+                "+OK replicate colstore {} {} {current}",
+                blocks.len(),
+                subs.len()
+            );
+            for block in &blocks {
+                chunk.push('\n');
+                chunk.push_str(&format!(
+                    "BLOCK {} {} {} {:08x} {}",
+                    block.partition,
+                    block.rows,
+                    block.raw_len,
+                    block.crc,
+                    b64::encode(&block.data)
+                ));
+            }
+            ServerStats::add(&self.stats.repl_bootstrap_bytes, chunk.len() as u64 + 1);
+            send_chunk(&*conn, chunk).map_err(io::Error::other)?;
             self.repl.register(follower_id, conn, from_seq.min(current));
-            start
+            StreamStart::Colstore {
+                blocks: blocks.len(),
+                subs: subs.len(),
+                seq: current,
+            }
         };
         self.stats.repl_followers.store(
             self.repl.follower_count() as u64,
@@ -976,21 +939,11 @@ impl Persister {
         engine
             .bulk_restore(&subs)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        snapshot::write(
-            &self.config.dir,
-            &self.schema,
-            &subs,
-            seq,
-            self.config.format,
-            self.partitions,
-        )?;
+        let (_, chain) =
+            snapshot::write(&self.config.dir, &self.schema, &subs, seq, self.partitions)?;
         inner.log.rotate_to(seq)?;
         inner.last_snapshot = Instant::now();
-        inner.chain = (self.config.format == SnapshotFormat::Colstore).then(|| Manifest {
-            partitions: self.partitions,
-            full: (snapshot::SNAPSHOT_FILE.to_string(), seq),
-            deltas: Vec::new(),
-        });
+        inner.chain = Some(chain);
         inner.dirty_seq.fill(seq);
         *catalog = subs.iter().map(|s| (s.id(), s.clone())).collect();
         ServerStats::add(&self.stats.snapshots_taken, 1);

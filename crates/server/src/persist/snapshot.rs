@@ -1,43 +1,40 @@
-//! Checksummed snapshot of the live subscription set, in one of two
-//! formats behind a single auto-detecting loader:
+//! Checksummed snapshot of the live subscription set in the colstore v2
+//! format (`APCM2COL` magic, see `apcm-colstore`): block-columnar,
+//! dictionary-encoded, LZSS-compressed, CRC-framed per block with a
+//! footer index. Subscriptions are routed to partitions with the same
+//! Fibonacci hash the shards use, columnarized per partition in
+//! parallel, and decoded the same way on recovery. *Delta* snapshot
+//! files (re-serializing only dirtied partitions) chain onto the last
+//! full snapshot through a manifest; a corrupt delta drops the chain
+//! back to its last consistent prefix — the churn log (which only full
+//! snapshots rotate) covers the rest.
 //!
-//! **Text v1** (`# apcm-snapshot v1`) — the original human-readable
-//! format: `seq` / `attr` / `sub` lines with a CRC trailer. Still fully
-//! readable on recovery (migration path) and still writable via
-//! `--snapshot-format text`.
+//! A legacy text v1 file (`# apcm-snapshot v1`) is refused with an
+//! `InvalidData` I/O error, so the server does not start on it. Treating
+//! it as corrupt instead would recover from the log alone and silently
+//! drop every subscription older than the last log rotation.
 //!
-//! **Colstore v2** (`APCM2COL` magic, see `apcm-colstore`) — the default:
-//! block-columnar, dictionary-encoded, LZSS-compressed, CRC-framed per
-//! block with a footer index. Subscriptions are routed to partitions with
-//! the same Fibonacci hash the shards use, columnarized per partition in
-//! parallel, and decoded the same way on recovery. v2 additionally
-//! supports *delta* snapshot files (re-serializing only dirtied
-//! partitions) chained onto the last full snapshot by a manifest; a
-//! corrupt delta drops the chain back to its last consistent prefix —
-//! the churn log (which only full snapshots rotate) covers the rest.
-//!
-//! Either format is written to a temp file, fsynced, then renamed over
-//! the live name, so a crash mid-write never damages the previous
-//! snapshot. The `persist.snapshot.write` / `persist.snapshot.rename`
-//! failpoints guard both formats; colstore adds `colstore.block.write`
-//! and `colstore.manifest.rename` inside the v2 write path.
+//! Snapshots are written to a temp file, fsynced, then renamed over the
+//! live name, so a crash mid-write never damages the previous snapshot.
+//! The `persist.snapshot.write` / `persist.snapshot.rename` failpoints
+//! guard that path; `colstore.block.write` and `colstore.manifest.rename`
+//! fire inside it.
 
 use apcm_bexpr::{parser, Schema, SubId, Subscription};
 use apcm_colstore::file as colfile;
 use apcm_colstore::manifest as colmanifest;
 use apcm_colstore::{ColError, Row, SnapshotKind};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 use super::failpoint::{self, FailAction};
-use crate::config::SnapshotFormat;
 use crate::shard::route_partition;
-use apcm_colstore::crc::crc32;
 
 /// File name of the live snapshot inside the persist directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.apcm";
 const TMP_FILE: &str = "snapshot.apcm.tmp";
-const HEADER: &str = "# apcm-snapshot v1";
+/// First line of a text v1 snapshot — a format this version refuses.
+const TEXT_V1_HEADER: &[u8] = b"# apcm-snapshot v1";
 
 /// Delta snapshot files live next to the full one; only the manifest
 /// gives them meaning (an orphaned delta is ignored).
@@ -101,8 +98,8 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// The `attr <name> <min> <max>` lines both formats embed and recovery
-/// validates attribute-by-attribute against the serving schema.
+/// The `attr <name> <min> <max>` lines every snapshot file embeds and
+/// recovery validates against the serving schema.
 fn schema_lines(schema: &Schema) -> Vec<String> {
     schema
         .iter()
@@ -152,7 +149,7 @@ pub(crate) fn row_to_sub(row: &Row, schema: &Schema) -> Result<Subscription, Sna
 
 /// Groups subscriptions by partition (same routing hash as the shards)
 /// and columnarizes each partition on its own scoped thread — the
-/// *prepare* half of the v2 write (also the replication bootstrap's
+/// *prepare* half of a snapshot write (also the replication bootstrap's
 /// block source). Input must be sorted by id.
 pub(crate) fn prepare_blocks(
     subs: &[Subscription],
@@ -194,18 +191,17 @@ pub(crate) fn prepare_blocks(
     Ok(blocks)
 }
 
-/// Writes a full snapshot atomically in the requested format and, for
-/// colstore, resets the manifest chain to just this full (stale delta
-/// files are unlinked best-effort — nothing references them anymore).
-/// Returns the byte size written.
+/// Writes a full snapshot atomically and resets the manifest chain to
+/// just this full (stale delta files are unlinked best-effort — nothing
+/// references them anymore). Returns the byte size written and the new
+/// chain.
 pub fn write(
     dir: &Path,
     schema: &Schema,
     subs: &[Subscription],
     seq: u64,
-    format: SnapshotFormat,
     partitions: u32,
-) -> io::Result<u64> {
+) -> io::Result<(u64, colmanifest::Manifest)> {
     if let Some(FailAction::Error | FailAction::TornWrite(_)) =
         failpoint::fire("persist.snapshot.write")
     {
@@ -213,43 +209,20 @@ pub fn write(
     }
 
     let tmp = dir.join(TMP_FILE);
-    let bytes = match format {
-        SnapshotFormat::Text => {
-            let mut body = String::new();
-            body.push_str(HEADER);
-            body.push('\n');
-            body.push_str(&format!("seq {seq}\n"));
-            for line in schema_lines(schema) {
-                body.push_str(&line);
-                body.push('\n');
-            }
-            for sub in subs {
-                body.push_str(&format!("sub {} {}\n", sub.id().0, sub.display(schema)));
-            }
-            let trailer = format!("# crc {:08x} subs {}\n", crc32(body.as_bytes()), subs.len());
-            body.push_str(&trailer);
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(body.as_bytes())?;
-            file.sync_data()?;
-            body.len() as u64
-        }
-        SnapshotFormat::Colstore => {
-            let blocks = prepare_blocks(subs, schema, partitions, None)?;
-            let meta = colfile::FileMeta {
-                kind: SnapshotKind::Full,
-                seq,
-                partitions,
-                included: (0..partitions).collect(),
-                schema_lines: schema_lines(schema),
-                total_subs: subs.len() as u64,
-            };
-            match colfile::write_file(&tmp, &meta, &blocks) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e);
-                }
-            }
+    let blocks = prepare_blocks(subs, schema, partitions, None)?;
+    let meta = colfile::FileMeta {
+        kind: SnapshotKind::Full,
+        seq,
+        partitions,
+        included: (0..partitions).collect(),
+        schema_lines: schema_lines(schema),
+        total_subs: subs.len() as u64,
+    };
+    let bytes = match colfile::write_file(&tmp, &meta, &blocks) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
     };
 
@@ -274,31 +247,22 @@ pub fn write(
         Ok(Some(m)) => m.deltas.iter().map(|(name, _)| name.clone()).collect(),
         _ => Vec::new(),
     };
-    match format {
-        SnapshotFormat::Colstore => {
-            colmanifest::write(
-                dir,
-                &colmanifest::Manifest {
-                    partitions,
-                    full: (SNAPSHOT_FILE.to_string(), seq),
-                    deltas: Vec::new(),
-                },
-            )?;
-        }
-        SnapshotFormat::Text => {
-            let _ = std::fs::remove_file(dir.join(colmanifest::MANIFEST_FILE));
-        }
-    }
+    let chain = colmanifest::Manifest {
+        partitions,
+        full: (SNAPSHOT_FILE.to_string(), seq),
+        deltas: Vec::new(),
+    };
+    colmanifest::write(dir, &chain)?;
     for name in stale {
         let _ = std::fs::remove_file(dir.join(name));
     }
-    Ok(bytes)
+    Ok((bytes, chain))
 }
 
-/// Writes one delta snapshot file (colstore only): full images of the
-/// `included` partitions drawn from `subs` at `seq`, appended to the
-/// manifest chain. The churn log is *not* rotated by deltas — dropping a
-/// corrupt delta on recovery can always be healed from the log.
+/// Writes one delta snapshot file: full images of the `included`
+/// partitions drawn from `subs` at `seq`, appended to the manifest
+/// chain. The churn log is *not* rotated by deltas — dropping a corrupt
+/// delta on recovery can always be healed from the log.
 pub fn write_delta(
     dir: &Path,
     schema: &Schema,
@@ -343,10 +307,10 @@ pub fn write_delta(
 }
 
 /// Loads the snapshot state at `dir`, if any: the manifest chain when one
-/// is valid, else the bare snapshot file (auto-detecting text v1 vs
-/// colstore v2). `Ok(None)` when nothing exists; `Err(Corrupt)` when the
-/// full snapshot exists but fails validation (the caller reports it and
-/// recovers from the log alone). A corrupt *delta* is never an error:
+/// is valid, else the bare snapshot file. `Ok(None)` when nothing exists;
+/// `Err(Corrupt)` when the full snapshot exists but fails validation (the
+/// caller reports it and recovers from the log alone); `Err(Io)` with
+/// `InvalidData` for a text v1 file. A corrupt *delta* is never an error:
 /// the chain falls back to its last consistent prefix, with the drop
 /// counted in the returned data.
 pub fn load(dir: &Path, schema: &Schema) -> Result<Option<SnapshotData>, SnapshotError> {
@@ -458,7 +422,7 @@ fn load_delta(
     Ok((subs, loaded.meta.included.clone()))
 }
 
-/// Loads `snapshot.apcm` alone, auto-detecting the format by content.
+/// Loads `snapshot.apcm` alone.
 fn load_bare(dir: &Path, schema: &Schema) -> Result<Option<SnapshotData>, SnapshotError> {
     let path = dir.join(SNAPSHOT_FILE);
     let bytes = match std::fs::read(&path) {
@@ -468,10 +432,18 @@ fn load_bare(dir: &Path, schema: &Schema) -> Result<Option<SnapshotData>, Snapsh
     };
     if colfile::is_colstore(&bytes) {
         load_colstore(&bytes, schema).map(Some)
+    } else if bytes.starts_with(TEXT_V1_HEADER) {
+        Err(SnapshotError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{} is a text v1 snapshot, which this version no longer reads",
+                path.display()
+            ),
+        )))
     } else {
-        let text = String::from_utf8(bytes)
-            .map_err(|_| SnapshotError::Corrupt("snapshot is neither colstore nor utf-8".into()))?;
-        load_text(&text, schema).map(Some)
+        Err(SnapshotError::Corrupt(
+            "snapshot is not a colstore file".into(),
+        ))
     }
 }
 
@@ -532,115 +504,6 @@ fn load_colstore(bytes: &[u8], schema: &Schema) -> Result<SnapshotData, Snapshot
     Ok(SnapshotData::bare(subs, loaded.meta.seq))
 }
 
-/// Parses the text v1 format (read-only since v2 became the default).
-fn load_text(data: &str, schema: &Schema) -> Result<SnapshotData, SnapshotError> {
-    // Split off the trailer (the final non-empty line).
-    let trimmed = data.trim_end_matches('\n');
-    let Some(trailer_start) = trimmed.rfind('\n') else {
-        return Err(SnapshotError::Corrupt("missing trailer".into()));
-    };
-    let trailer = &trimmed[trailer_start + 1..];
-    let body = &data[..trailer_start + 1];
-    let mut parts = trailer.split_whitespace();
-    if (parts.next(), parts.next()) != (Some("#"), Some("crc")) {
-        return Err(SnapshotError::Corrupt(format!(
-            "bad trailer line `{trailer}`"
-        )));
-    }
-    let stored = parts
-        .next()
-        .and_then(|t| u32::from_str_radix(t, 16).ok())
-        .ok_or_else(|| SnapshotError::Corrupt("trailer missing crc".into()))?;
-    let count: usize = match (parts.next(), parts.next()) {
-        (Some("subs"), Some(n)) => n
-            .parse()
-            .map_err(|_| SnapshotError::Corrupt("bad subs count".into()))?,
-        _ => return Err(SnapshotError::Corrupt("trailer missing subs count".into())),
-    };
-    let actual = crc32(body.as_bytes());
-    if stored != actual {
-        return Err(SnapshotError::Corrupt(format!(
-            "crc mismatch (stored {stored:08x}, actual {actual:08x})"
-        )));
-    }
-
-    // Body is CRC-clean; parse it strictly (any error now is a bug or
-    // schema drift, not disk damage).
-    let mut lines = body.lines();
-    if lines.next() != Some(HEADER) {
-        return Err(SnapshotError::Corrupt("bad header".into()));
-    }
-    let mut seq = 0u64;
-    let mut subs = Vec::new();
-    let mut attr_idx = 0usize;
-    let expected_attrs: Vec<_> = schema.iter().collect();
-    for line in lines {
-        let Some((kind, rest)) = line.split_once(' ') else {
-            return Err(SnapshotError::Corrupt(format!("bad line `{line}`")));
-        };
-        match kind {
-            "seq" => {
-                seq = rest
-                    .parse()
-                    .map_err(|_| SnapshotError::Corrupt(format!("bad seq `{rest}`")))?;
-            }
-            "attr" => {
-                // Validate against the serving schema attribute-by-attribute.
-                let mut parts = rest.split_whitespace();
-                let (name, min, max) = (parts.next(), parts.next(), parts.next());
-                let expected = expected_attrs.get(attr_idx);
-                let matches = match (name, min, max, expected) {
-                    (Some(n), Some(lo), Some(hi), Some((_, info))) => {
-                        n == info.name()
-                            && lo.parse() == Ok(info.domain().min())
-                            && hi.parse() == Ok(info.domain().max())
-                    }
-                    _ => false,
-                };
-                if !matches {
-                    return Err(SnapshotError::SchemaMismatch(format!(
-                        "snapshot attr {attr_idx} is `{rest}`, serving schema disagrees"
-                    )));
-                }
-                attr_idx += 1;
-            }
-            "sub" => {
-                let (id_text, expr) = rest.split_once(' ').ok_or_else(|| {
-                    SnapshotError::Corrupt(format!("sub line missing expression: `{rest}`"))
-                })?;
-                let id: u32 = id_text.parse().map_err(|_| {
-                    SnapshotError::Corrupt(format!("bad subscription id `{id_text}`"))
-                })?;
-                let sub =
-                    parser::parse_subscription_with_id(schema, SubId(id), expr).map_err(|e| {
-                        SnapshotError::SchemaMismatch(format!(
-                            "subscription {id} no longer parses: {e}"
-                        ))
-                    })?;
-                subs.push(sub);
-            }
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown record kind `{other}`"
-                )))
-            }
-        }
-    }
-    if attr_idx != schema.dims() {
-        return Err(SnapshotError::SchemaMismatch(format!(
-            "snapshot has {attr_idx} attributes, serving schema has {}",
-            schema.dims()
-        )));
-    }
-    if subs.len() != count {
-        return Err(SnapshotError::Corrupt(format!(
-            "trailer says {count} subs, body has {}",
-            subs.len()
-        )));
-    }
-    Ok(SnapshotData::bare(subs, seq))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,57 +525,16 @@ mod tests {
             .collect()
     }
 
-    fn write_fmt(
-        dir: &Path,
-        schema: &Schema,
-        subs: &[Subscription],
-        seq: u64,
-        format: SnapshotFormat,
-    ) -> io::Result<u64> {
-        write(dir, schema, subs, seq, format, 3)
-    }
-
     #[test]
-    fn round_trip_both_formats() {
+    fn round_trip() {
         let schema = Schema::uniform(3, 16);
-        for format in [SnapshotFormat::Text, SnapshotFormat::Colstore] {
-            let dir = tmpdir(&format!("roundtrip_{}", format.name()));
-            let subs = corpus(&schema, 40);
-            write_fmt(&dir, &schema, &subs, 123, format).unwrap();
-            let loaded = load(&dir, &schema).unwrap().unwrap();
-            assert_eq!(loaded.seq, 123);
-            assert_eq!(loaded.subs, subs);
-            assert_eq!(loaded.deltas_applied, 0);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn colstore_is_smaller_than_text() {
-        let schema = Schema::uniform(8, 64);
-        let dir = tmpdir("sizes");
-        let subs: Vec<Subscription> = (0..2000)
-            .map(|id| {
-                parser::parse_subscription_with_id(
-                    &schema,
-                    SubId(id),
-                    &format!(
-                        "a{} <= {} AND a{} >= {}",
-                        id % 8,
-                        id % 50,
-                        (id + 3) % 8,
-                        id % 7
-                    ),
-                )
-                .unwrap()
-            })
-            .collect();
-        let text = write_fmt(&dir, &schema, &subs, 1, SnapshotFormat::Text).unwrap();
-        let col = write_fmt(&dir, &schema, &subs, 1, SnapshotFormat::Colstore).unwrap();
-        assert!(
-            col * 3 <= text,
-            "colstore {col} bytes not >=3x smaller than text {text}"
-        );
+        let dir = tmpdir("roundtrip");
+        let subs = corpus(&schema, 40);
+        write(&dir, &schema, &subs, 123, 3).unwrap();
+        let loaded = load(&dir, &schema).unwrap().unwrap();
+        assert_eq!(loaded.seq, 123);
+        assert_eq!(loaded.subs, subs);
+        assert_eq!(loaded.deltas_applied, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -724,56 +546,62 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected_in_both_formats() {
+    fn corruption_is_detected() {
         let schema = Schema::uniform(2, 8);
-        for format in [SnapshotFormat::Text, SnapshotFormat::Colstore] {
-            let dir = tmpdir(&format!("corrupt_{}", format.name()));
-            write_fmt(&dir, &schema, &corpus(&schema, 10), 7, format).unwrap();
-            let path = dir.join(SNAPSHOT_FILE);
-            let mut data = std::fs::read(&path).unwrap();
-            let mid = data.len() / 2;
-            data[mid] ^= 0x01;
-            std::fs::write(&path, &data).unwrap();
-            match load(&dir, &schema) {
-                Err(SnapshotError::Corrupt(_)) => {}
-                other => panic!("{}: expected Corrupt, got {other:?}", format.name()),
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmpdir("corrupt");
+        write(&dir, &schema, &corpus(&schema, 10), 7, 3).unwrap();
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut data = std::fs::read(&path).unwrap();
+        let mid = data.len() / 2;
+        data[mid] ^= 0x01;
+        std::fs::write(&path, &data).unwrap();
+        match load(&dir, &schema) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn schema_mismatch_is_fatal_in_both_formats() {
+    fn non_colstore_file_is_corrupt() {
         let schema = Schema::uniform(2, 8);
-        for format in [SnapshotFormat::Text, SnapshotFormat::Colstore] {
-            let dir = tmpdir(&format!("mismatch_{}", format.name()));
-            write_fmt(&dir, &schema, &corpus(&schema, 5), 1, format).unwrap();
-            match load(&dir, &Schema::uniform(3, 8)) {
-                Err(SnapshotError::SchemaMismatch(_)) => {}
-                other => panic!("expected SchemaMismatch, got {other:?}"),
-            }
-            match load(&dir, &Schema::uniform(2, 4)) {
-                Err(SnapshotError::SchemaMismatch(_)) => {}
-                other => panic!("expected SchemaMismatch, got {other:?}"),
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmpdir("not_colstore");
+        std::fs::write(dir.join(SNAPSHOT_FILE), "not a snapshot\n").unwrap();
+        match load(&dir, &schema) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema_mismatch_is_fatal() {
+        let schema = Schema::uniform(2, 8);
+        let dir = tmpdir("mismatch");
+        write(&dir, &schema, &corpus(&schema, 5), 1, 3).unwrap();
+        match load(&dir, &Schema::uniform(3, 8)) {
+            Err(SnapshotError::SchemaMismatch(_)) => {}
+            other => panic!("expected SchemaMismatch, got {other:?}"),
+        }
+        match load(&dir, &Schema::uniform(2, 4)) {
+            Err(SnapshotError::SchemaMismatch(_)) => {}
+            other => panic!("expected SchemaMismatch, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn write_failpoint_preserves_previous_snapshot() {
         let schema = Schema::uniform(2, 8);
-        for format in [SnapshotFormat::Text, SnapshotFormat::Colstore] {
-            let dir = tmpdir(&format!("fp_write_{}", format.name()));
-            write_fmt(&dir, &schema, &corpus(&schema, 5), 1, format).unwrap();
-            failpoint::arm("persist.snapshot.write", FailAction::Error, Some(1));
-            assert!(write_fmt(&dir, &schema, &corpus(&schema, 9), 2, format).is_err());
-            let loaded = load(&dir, &schema).unwrap().unwrap();
-            assert_eq!(loaded.seq, 1);
-            assert_eq!(loaded.subs.len(), 5);
-            failpoint::reset();
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = tmpdir("fp_write");
+        write(&dir, &schema, &corpus(&schema, 5), 1, 3).unwrap();
+        failpoint::arm("persist.snapshot.write", FailAction::Error, Some(1));
+        assert!(write(&dir, &schema, &corpus(&schema, 9), 2, 3).is_err());
+        let loaded = load(&dir, &schema).unwrap().unwrap();
+        assert_eq!(loaded.seq, 1);
+        assert_eq!(loaded.subs.len(), 5);
+        failpoint::reset();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -783,15 +611,7 @@ mod tests {
         let partitions = 3u32;
         let all = corpus(&schema, 30);
         // Full at seq 10 with the first 20 subs.
-        write(
-            &dir,
-            &schema,
-            &all[..20],
-            10,
-            SnapshotFormat::Colstore,
-            partitions,
-        )
-        .unwrap();
+        write(&dir, &schema, &all[..20], 10, partitions).unwrap();
         let chain = colmanifest::read(&dir).unwrap().unwrap();
         // Delta 1 at seq 15: subs 20..25 arrive — their partitions get
         // re-serialized from the full state plus the new subs.
@@ -839,7 +659,7 @@ mod tests {
         let schema = Schema::uniform(2, 8);
         let dir = tmpdir("stale_manifest");
         let subs = corpus(&schema, 12);
-        write(&dir, &schema, &subs, 5, SnapshotFormat::Colstore, 2).unwrap();
+        write(&dir, &schema, &subs, 5, 2).unwrap();
         // Simulate the crash window: a newer full landed but the manifest
         // still names the old seq.
         colmanifest::write(

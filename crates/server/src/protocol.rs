@@ -25,16 +25,17 @@
 //! Replication / role management (see [`crate::replication`]):
 //!
 //! ```text
-//! REPLICATE <from_seq> turn this connection into a churn-record stream
+//! REPLICATE <from_seq> [ring <members> <keep>] [reset]
+//!                      turn this connection into a churn-record stream
 //!                      (follower handshake; requires persistence);
-//!                      `v2` advertises colstore bootstrap decode, and
-//!                      `v2 ring <members> <keep>` scopes the *bootstrap*
-//!                      to the catalog subset the ring routes to `keep`
-//!                      (the live tail still carries every record — the
-//!                      receiver filters — so seqs stay comparable).
-//!                      A trailing `reset` token forces a wholesale
-//!                      bootstrap, disclaiming local history (a follower
-//!                      whose divergent suffix could not be truncated)
+//!                      `ring <members> <keep>` scopes the colstore
+//!                      *bootstrap* to the catalog subset the ring routes
+//!                      to `keep` (the live tail still carries every
+//!                      record — the receiver filters — so seqs stay
+//!                      comparable). A trailing `reset` token forces a
+//!                      wholesale bootstrap, disclaiming local history (a
+//!                      follower whose divergent suffix could not be
+//!                      truncated)
 //! REPLACK <seq>        follower progress report on a REPLICATE stream
 //! ROLE                 role + sequence/lag report (the health probe)
 //! PROMOTE              replica -> primary (idempotent on a primary)
@@ -124,15 +125,12 @@ pub enum Request {
         epoch: u64,
     },
     /// Follower handshake: stream churn records after this sequence.
-    /// `v2` is set when the follower appended a `v2` token, advertising
-    /// that it can decode a compressed colstore bootstrap. `ring` scopes
-    /// the bootstrap catalog to a ring subset (see [`RingSpec`]); it
-    /// requires `v2`. `reset` disclaims the follower's local history,
+    /// `ring` scopes the bootstrap catalog to a ring subset (see
+    /// [`RingSpec`]). `reset` disclaims the follower's local history,
     /// forcing a wholesale bootstrap even when `from_seq` would allow a
     /// log tail or truncate answer.
     Replicate {
         from_seq: u64,
-        v2: bool,
         ring: Option<RingSpec>,
         reset: bool,
     },
@@ -266,22 +264,15 @@ pub fn parse_request(schema: &Schema, line: &str) -> Result<Option<Request>, Str
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| format!("bad replicate seq `{rest}`"))?;
             let mut next = parts.next();
-            let v2 = match next {
-                Some("v2") => {
-                    next = parts.next();
-                    true
-                }
-                _ => false,
-            };
             let ring = match next {
-                Some("ring") if v2 => {
+                Some("ring") => {
                     let members_csv = parts
                         .next()
-                        .ok_or("usage: REPLICATE <seq> v2 ring <members> <keep>")?
+                        .ok_or("usage: REPLICATE <seq> ring <members> <keep>")?
                         .to_string();
                     let keep_csv = parts
                         .next()
-                        .ok_or("usage: REPLICATE <seq> v2 ring <members> <keep>")?
+                        .ok_or("usage: REPLICATE <seq> ring <members> <keep>")?
                         .to_string();
                     next = parts.next();
                     Some(RingSpec {
@@ -304,7 +295,6 @@ pub fn parse_request(schema: &Schema, line: &str) -> Result<Option<Request>, Str
             }
             Request::Replicate {
                 from_seq,
-                v2,
                 ring,
                 reset,
             }
@@ -537,12 +527,9 @@ pub fn render_event_notification(id: SubId, event: &Event, schema: &Schema) -> S
 pub enum ReplicateStart {
     /// Log tail: this many backlog frames, then the live stream.
     Log { backlog: usize },
-    /// Snapshot bootstrap: this many catalog frames, all at `seq`; the
-    /// follower replaces its local state wholesale, then the live stream.
-    Snapshot { subs: usize, seq: u64 },
-    /// Compressed bootstrap (the primary runs the colstore snapshot
-    /// format and the follower advertised `v2`): this many base64
-    /// `BLOCK` lines carrying `subs` subscriptions, all at `seq`.
+    /// Bootstrap: this many base64 colstore `BLOCK` lines carrying `subs`
+    /// subscriptions, all at `seq`; the follower replaces its local state
+    /// wholesale, then the live stream.
     Colstore {
         blocks: usize,
         subs: usize,
@@ -577,17 +564,6 @@ pub fn parse_replicate_header(line: &str) -> Result<ReplicateStart, String> {
                 .and_then(|t| t.parse().ok())
                 .ok_or("replicate log header missing backlog count")?;
             Ok(ReplicateStart::Log { backlog })
-        }
-        Some("snapshot") => {
-            let subs: usize = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("replicate snapshot header missing sub count")?;
-            let seq: u64 = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("replicate snapshot header missing seq")?;
-            Ok(ReplicateStart::Snapshot { subs, seq })
         }
         Some("colstore") => {
             let blocks: usize = parts
@@ -911,38 +887,26 @@ mod tests {
             parse_request(&schema, "REPLICATE 42").unwrap().unwrap(),
             Request::Replicate {
                 from_seq: 42,
-                v2: false,
                 ring: None,
                 reset: false
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 42 v2").unwrap().unwrap(),
-            Request::Replicate {
-                from_seq: 42,
-                v2: true,
-                ring: None,
-                reset: false
-            }
-        );
-        assert_eq!(
-            parse_request(&schema, "REPLICATE 42 v2 reset")
+            parse_request(&schema, "REPLICATE 42 reset")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 42,
-                v2: true,
                 ring: None,
                 reset: true
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 0 v2 ring 0,1,2 2")
+            parse_request(&schema, "REPLICATE 0 ring 0,1,2 2")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 0,
-                v2: true,
                 ring: Some(RingSpec {
                     members_csv: "0,1,2".into(),
                     keep_csv: "2".into()
@@ -951,12 +915,11 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(&schema, "REPLICATE 0 v2 ring 0,1,2 2 reset")
+            parse_request(&schema, "REPLICATE 0 ring 0,1,2 2 reset")
                 .unwrap()
                 .unwrap(),
             Request::Replicate {
                 from_seq: 0,
-                v2: true,
                 ring: Some(RingSpec {
                     members_csv: "0,1,2".into(),
                     keep_csv: "2".into()
@@ -964,11 +927,18 @@ mod tests {
                 reset: true
             }
         );
+        // The one bootstrap form needs no capability token: `v2` is as
+        // unknown as any other word.
+        assert_eq!(
+            parse_request(&schema, "REPLICATE 42 v2"),
+            Err("bad replicate token `v2`".into())
+        );
+        assert!(parse_request(&schema, "REPLICATE 42 v2 reset").is_err());
         assert!(parse_request(&schema, "REPLICATE 42 v3").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 x").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 ring 0,1").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 ring 0,1 1 x").is_err());
-        assert!(parse_request(&schema, "REPLICATE 42 v2 reset x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 ring 0,1").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 ring 0,1 1 x").is_err());
+        assert!(parse_request(&schema, "REPLICATE 42 reset x").is_err());
         assert_eq!(
             parse_request(&schema, "replack 7").unwrap().unwrap(),
             Request::ReplAck { seq: 7 }
@@ -1192,10 +1162,6 @@ mod tests {
             ReplicateStart::Log { backlog: 12 }
         );
         assert_eq!(
-            parse_replicate_header("+OK replicate snapshot 40 97").unwrap(),
-            ReplicateStart::Snapshot { subs: 40, seq: 97 }
-        );
-        assert_eq!(
             parse_replicate_header("+OK replicate colstore 3 40 97").unwrap(),
             ReplicateStart::Colstore {
                 blocks: 3,
@@ -1218,7 +1184,7 @@ mod tests {
         assert!(parse_replicate_header("+OK replicate log").is_err());
         assert!(parse_replicate_header("+OK replicate truncate 97").is_err());
         assert!(parse_replicate_header("+OK replicate truncate 97 zzz").is_err());
-        assert!(parse_replicate_header("+OK replicate snapshot 4").is_err());
+        assert!(parse_replicate_header("+OK replicate snapshot 40 97").is_err());
         assert!(parse_replicate_header("+OK replicate colstore 3 40").is_err());
         assert!(parse_replicate_header("-ERR persistence disabled").is_err());
     }

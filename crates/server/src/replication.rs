@@ -3,13 +3,11 @@
 //! ## Wire protocol
 //!
 //! A follower dials its primary like any client and sends
-//! `REPLICATE <from_seq>` — the highest sequence it has already applied —
-//! optionally suffixed with `v2` to advertise that it can decode a
-//! compressed colstore bootstrap. The primary answers with one of:
+//! `REPLICATE <from_seq> [reset]` — `from_seq` is the highest sequence it
+//! has already applied. The primary answers with one of:
 //!
 //! ```text
 //! +OK replicate log <backlog>             followed by that many log frames
-//! +OK replicate snapshot <n> <seq>        followed by n catalog frames
 //! +OK replicate colstore <b> <n> <seq>    followed by b BLOCK lines
 //! +OK replicate truncate <seq> <crc8hex>  no body; follower rewinds
 //! ```
@@ -29,16 +27,14 @@
 //! mismatch (or if it cannot check) it redials with a trailing `reset`
 //! token, which forces the wholesale bootstrap path. Anything else — the
 //! follower predates the last rotation, the CRC probe fails, or `reset`
-//! was sent — gets a bootstrap: the full live catalog, which the
-//! follower applies as a wholesale replacement of its local state. The
-//! bootstrap form is `snapshot` (one `S` frame per subscription) unless
-//! the follower said `v2` *and* the primary runs the colstore snapshot
-//! format, in which case it is `colstore`: each
-//! `BLOCK <partition> <rows> <raw_len> <crc8hex> <base64>` line carries
-//! one LZSS-compressed columnar block (the same prepare+compress path the
-//! snapshot writer uses). The follower CRC-checks and decodes every
-//! block; any damage drops the connection and the reconnect refetches the
-//! whole bootstrap — nothing is skipped.
+//! was sent — gets the `colstore` bootstrap: the full live catalog, which
+//! the follower applies as a wholesale replacement of its local state.
+//! Each `BLOCK <partition> <rows> <raw_len> <crc8hex> <base64>` line
+//! carries one LZSS-compressed columnar block (the same prepare+compress
+//! path the snapshot writer uses). The follower CRC-checks and decodes
+//! every block; any damage drops the connection and the reconnect
+//! refetches the whole bootstrap — nothing is skipped. There is no
+//! capability negotiation: every node of a cluster runs one build.
 //!
 //! The follower reports progress on the same connection with
 //! `REPLACK <applied_seq>`. Acks are *pipelined*: the follower applies

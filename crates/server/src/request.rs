@@ -261,7 +261,6 @@ pub(crate) fn on_conn_line(
         }
         Request::Replicate {
             from_seq,
-            v2,
             ring,
             reset,
         } => match &ctx.persist {
@@ -278,7 +277,7 @@ pub(crate) fn on_conn_line(
                     }
                 };
                 let registered = make_follower().and_then(|conn| {
-                    p.begin_stream(conn_id, from_seq, v2, reset, scope.as_ref(), conn)
+                    p.begin_stream(conn_id, from_seq, reset, scope.as_ref(), conn)
                 });
                 match registered {
                     // The handshake header + backlog chunk is already

@@ -94,7 +94,7 @@ pub struct ServerStats {
     /// Snapshot attempts that failed (previous snapshot left intact).
     pub snapshot_errors: AtomicU64,
     /// Of `snapshots_taken`, how many were delta files chained onto the
-    /// last full (colstore format only).
+    /// last full.
     pub snapshot_deltas_taken: AtomicU64,
     /// Subscriptions restored at startup (snapshot + log replay).
     pub recovered_subs: AtomicU64,

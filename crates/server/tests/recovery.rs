@@ -13,11 +13,14 @@
 
 use apcm_bexpr::{SubId, Subscription};
 use apcm_server::persist::failpoint::{self, FailAction};
-use apcm_server::{BrokerClient, EngineChoice, PersistConfig, Server, ServerConfig};
+use apcm_server::{
+    BrokerClient, EngineChoice, PersistConfig, Persister, Server, ServerConfig, ServerStats,
+};
 use apcm_workload::WorkloadSpec;
 use std::collections::BTreeMap;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -240,6 +243,36 @@ fn corrupt_snapshot_recovers_from_log_alone() {
     // Only the post-snapshot half survives — counted, not panicked.
     let stats = assert_restored_agrees(&wl, &dir, &acked);
     assert!(stats["recovery_corrupt_dropped"] >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A legacy text v1 snapshot is refused, not discarded as corrupt:
+/// recovering from the log alone would silently lose every subscription
+/// older than the last rotation.
+#[test]
+fn text_v1_snapshot_refuses_to_open() {
+    let _guard = lock();
+    let schema = apcm_bexpr::Schema::uniform(2, 8);
+    let dir = tmpdir("text_v1");
+    let v1 = "# apcm-snapshot v1\nseq 4\nattr a0 0 7\nattr a1 0 7\n\
+              sub 3 a0 = 1 AND a1 >= 2\n# crc 1a2b3c4d subs 1\n";
+    std::fs::write(dir.join("snapshot.apcm"), v1).unwrap();
+
+    let opened = Persister::open(
+        PersistConfig::new(&dir),
+        schema.clone(),
+        Arc::new(ServerStats::default()),
+        2,
+    );
+    let err = opened.err().expect("a text v1 snapshot must not open");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("text v1"), "{err}");
+    // The server refuses to start on it too, and leaves the file alone.
+    assert!(Server::start(schema, persisted_config(&dir), "127.0.0.1:0").is_err());
+    assert_eq!(
+        std::fs::read_to_string(dir.join("snapshot.apcm")).unwrap(),
+        v1
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

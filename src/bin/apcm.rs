@@ -72,9 +72,9 @@ usage:
              [--engine apcm|betree-hybrid|scan] [--window N] [--queue N]
              [--flush-ms N] [--maintenance-ms N] [--slow-consumer drop|disconnect]
              [--persist-dir DIR] [--fsync always|interval|never] [--snapshot-secs N]
-             [--snapshot-format colstore|text] [--max-delta-chain N]
-             [--rotate-bytes N] [--idle-timeout-ms N] [--max-line-bytes N]
-             [--loop-workers N] [--max-conns N]
+             [--max-delta-chain N] [--rotate-bytes N] [--idle-timeout-ms N]
+             [--max-line-bytes N] [--loop-workers N] [--max-conns N]
+             (snapshots are colstore v2; a text v1 snapshot in DIR is refused)
              [--replica-of HOST:PORT]  (start as a read-only follower; needs --persist-dir)
   apcm route --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT] [--dims N]
              [--cardinality N] [--health-ms N] [--probe-timeout-ms N]
@@ -97,7 +97,7 @@ fn known_flags(command: &str) -> Option<&'static str> {
         "stats" => "trace",
         "serve" => {
             "addr dims cardinality shards engine window queue flush-ms maintenance-ms \
-             slow-consumer persist-dir fsync snapshot-secs snapshot-format max-delta-chain \
+             slow-consumer persist-dir fsync snapshot-secs max-delta-chain \
              rotate-bytes idle-timeout-ms max-line-bytes loop-workers max-conns replica-of"
         }
         "route" => {
@@ -293,9 +293,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         let snapshot_secs: u64 = get(flags, "snapshot-secs", 60)?;
         persist.snapshot_interval = (snapshot_secs > 0).then(|| Duration::from_secs(snapshot_secs));
         persist.rotate_log_bytes = get(flags, "rotate-bytes", persist.rotate_log_bytes)?;
-        if let Some(format) = flags.get("snapshot-format") {
-            persist.format = apcm::server::SnapshotFormat::parse(format)?;
-        }
         persist.max_delta_chain = get(flags, "max-delta-chain", persist.max_delta_chain)?;
         config.persist = Some(persist);
     }

@@ -16,9 +16,13 @@ fn apcm(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn serve_rejects_unknown_flags() {
-    // The removed I/O-model switch and a misspelt `--shards` both fail
-    // before anything binds.
-    for (flag, value) in [("io-model", "threads"), ("shard", "4")] {
+    // The removed I/O-model and snapshot-format switches and a misspelt
+    // `--shards` all fail before anything binds.
+    for (flag, value) in [
+        ("io-model", "threads"),
+        ("snapshot-format", "text"),
+        ("shard", "4"),
+    ] {
         let (ok, stderr) = apcm(&["serve", &format!("--{flag}"), value]);
         assert!(!ok, "serve --{flag} {value} should fail");
         assert!(
