@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --lib (unit tests inside every crate)"
+cargo test -q --workspace --lib
+
+echo "==> cargo test -p apcm-server --test loopback --test ingest_idle (broker loopback, idle matcher)"
+cargo test -q -p apcm-server --test loopback --test ingest_idle
+
 echo "==> cargo test -p apcm-colstore (columnar snapshot codecs)"
 cargo test -q -p apcm-colstore
 

@@ -256,7 +256,6 @@ impl Server {
             engine: engine.clone(),
             persist: persist.clone(),
             ingest: pipeline.sender(),
-            ingest_depth: pipeline.depth_handle(),
             max_line_bytes: config.max_line_bytes,
             role: role.clone(),
             runner,

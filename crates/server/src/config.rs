@@ -166,7 +166,11 @@ pub struct ServerConfig {
     pub ingest_queue: usize,
     /// Capacity of each connection's bounded outbound queue (lines).
     pub conn_queue: usize,
-    /// Flush a partial ingest window after this long without new events.
+    /// Flush a partial ingest window at most this long after the oldest
+    /// buffered event. Windows also flush when full, and when a frame's
+    /// last event (a `PUB`, or a `BATCH`'s last) finds the queue idle, so
+    /// this bound is reached only while the queue never goes idle and the
+    /// window does not fill.
     pub flush_interval: Duration,
     /// Period of the background per-shard `maintain()` sweep.
     pub maintenance_interval: Duration,

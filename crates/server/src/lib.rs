@@ -46,7 +46,7 @@ pub use config::{EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowCon
 pub use delivery::{Delivery, DeliveryGauges};
 pub use engine::ShardEngine;
 pub use framing::{Framed, Framing, FramingCounters, Publish};
-pub use ingest::{IngestItem, IngestPipeline, ResultSink};
+pub use ingest::{IngestItem, IngestPipeline, IngestSender, ResultSink};
 pub use persist::{Persister, RecoveryReport, SnapshotOutcome, StreamStart};
 pub use protocol::{ReplicateStart, ReshardCmd, RingSpec, RoleReport};
 pub use replication::{Role, RoleState};

@@ -11,12 +11,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use apcm_netio::{Line, Verdict};
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::broker::{sub_fingerprint, Hub, ReplicaRunner, ReshardRunner};
 use crate::framing::{Framed, Framing, FramingCounters, Publish};
-use crate::ingest::IngestItem;
+use crate::ingest::{IngestItem, IngestSender};
 use crate::persist::failpoint::{self, FailAction};
 use crate::persist::{ChurnError, Persister};
 use crate::protocol::{self, Request, ReshardCmd, RoleReport};
@@ -32,9 +31,7 @@ pub(crate) struct ConnCtx {
     pub(crate) hub: Arc<Hub>,
     pub(crate) engine: Arc<ShardedEngine>,
     pub(crate) persist: Option<Arc<Persister>>,
-    pub(crate) ingest: Sender<IngestItem>,
-    /// Receiver clone used only for `len()` (queue depth in `STATS`).
-    pub(crate) ingest_depth: Receiver<IngestItem>,
+    pub(crate) ingest: IngestSender,
     pub(crate) max_line_bytes: usize,
     pub(crate) role: Arc<RoleState>,
     /// Spawns replica puller threads on `DEMOTE`; `None` without
@@ -217,7 +214,7 @@ pub(crate) fn on_conn_line(
         Request::Stats => {
             let body = stats.render(
                 &ctx.engine.per_shard_len(),
-                ctx.ingest_depth.len(),
+                ctx.ingest.len(),
                 ctx.engine.kernel_counters(),
                 (
                     ctx.engine.summary_epoch(),
@@ -482,27 +479,27 @@ pub(crate) fn on_conn_line(
     Verdict::Continue
 }
 
-/// Acks a `PUB` or completed `BATCH` and submits its events. The ack
-/// precedes the submits: the ingest pipeline can flush a full window (and
-/// push its RESULT lines) immediately, and the wire contract promises the
-/// ack comes first.
+/// Acks a `PUB` or completed `BATCH` and submits its events as one
+/// frame. The ack precedes the submit: the ingest pipeline matches a
+/// window as soon as it fills or the frame's last event finds the queue
+/// idle (and pushes its RESULT lines at once), and the wire contract
+/// promises the ack comes first.
 fn submit(ctx: &ConnCtx, conn_id: u64, publish: Publish, reply: &mut dyn FnMut(String)) -> Verdict {
     reply(publish.ack);
     ServerStats::add(&ctx.hub.stats.events_in, publish.events.len() as u64);
-    for (seq, event) in publish.events {
-        if ctx
-            .ingest
-            .send(IngestItem {
-                conn: conn_id,
-                seq,
-                event,
-            })
-            .is_err()
-        {
-            // Flush queued replies, then close.
-            reply("-ERR server shutting down".into());
-            return Verdict::Close;
-        }
+    let frame = publish
+        .events
+        .into_iter()
+        .map(|(seq, event)| IngestItem {
+            conn: conn_id,
+            seq,
+            event,
+        })
+        .collect();
+    if ctx.ingest.send_frame(frame).is_err() {
+        // Flush queued replies, then close.
+        reply("-ERR server shutting down".into());
+        return Verdict::Close;
     }
     Verdict::Continue
 }

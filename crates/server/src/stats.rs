@@ -62,6 +62,10 @@ pub struct ServerStats {
     pub events_matched: AtomicU64,
     /// Windows flushed through the engine.
     pub windows: AtomicU64,
+    /// Of `windows`, those flushed because the oldest buffered event had
+    /// waited `flush_interval` (not full, and no frame end found the
+    /// queue idle). Reads 0 under closed-loop traffic.
+    pub windows_timed_out: AtomicU64,
     /// Total (event, subscription) match pairs produced.
     pub matches: AtomicU64,
     /// Connections accepted over the server's lifetime.
@@ -217,6 +221,7 @@ impl ServerStats {
         push("events_in", Self::get(&self.events_in));
         push("events_matched", Self::get(&self.events_matched));
         push("windows", Self::get(&self.windows));
+        push("windows_timed_out", Self::get(&self.windows_timed_out));
         push("matches", Self::get(&self.matches));
         push("replies_sent", delivery.replies_sent);
         push("replies_dropped", delivery.replies_dropped);
@@ -350,6 +355,7 @@ mod tests {
         let none = DeliveryGauges::default();
         let text = stats.render(&[3, 4], 2, None, (1, 0, 0), none);
         assert!(text.contains("events_in 7\n"));
+        assert!(text.contains("windows_timed_out 0\n"));
         assert!(text.contains("shard_0_subs 3\n"));
         assert!(text.contains("shard_1_subs 4\n"));
         assert!(text.contains("ingest_queue_depth 2\n"));
