@@ -78,4 +78,10 @@ ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
 harness_smoke e17 0.1
 harness_smoke e18 0.002
 
+# `--locked` only checks that a lock could satisfy the manifests; a build
+# that rewrites a committed lock (e.g. pruning an unused entry) slips past
+# it. Fail instead of leaving the rewrite in the tree.
+echo "==> committed lock files unchanged by the build"
+git diff --exit-code -- Cargo.lock stackbench/Cargo.lock
+
 echo "==> ci.sh: all green"

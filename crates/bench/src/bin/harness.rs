@@ -16,8 +16,7 @@ use apcm_bexpr::{AttrId, Event, Matcher, Op, Predicate, Schema, SubId, Subscript
 use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_core::{AdaptiveConfig, ApcmConfig, ApcmMatcher, ClusteringPolicy, Executor, PcmMatcher};
 use apcm_server::{
-    route_partition, BrokerClient, EngineChoice, PersistConfig, Ring, Server, ServerConfig,
-    ServerStats,
+    route_partition, BrokerClient, PersistConfig, Ring, Server, ServerConfig, ServerStats,
 };
 use apcm_workload::{DriftingStream, ValueDist, Workload, WorkloadSpec};
 use std::time::{Duration, Instant};
@@ -762,7 +761,6 @@ fn e13_cluster(args: &Args) {
     let wl = base_spec(n, args.seed).build();
     let backend_config = || ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     };
@@ -966,7 +964,6 @@ fn e13_skewed(args: &Args) {
 
     let backend_config = || ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         ..ServerConfig::default()
     };
@@ -1124,7 +1121,6 @@ fn e14_replication(args: &Args) {
     let tmp = std::env::temp_dir().join(format!("apcm-e14-{}", std::process::id()));
     let node_config = |tag: String| ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         persist: Some(PersistConfig::new(tmp.join(tag))),
         ..ServerConfig::default()
@@ -1224,7 +1220,6 @@ fn e18_chains(args: &Args) {
     let _ = std::fs::remove_dir_all(&tmp);
     let node_config = |tag: String| ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         persist: Some(PersistConfig::new(tmp.join(tag))),
         ..ServerConfig::default()
@@ -1390,7 +1385,6 @@ fn e15_colstore(args: &Args) {
     ]);
     let config = ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         persist: Some(PersistConfig {
             snapshot_interval: None,
@@ -1505,7 +1499,6 @@ fn e15_colstore(args: &Args) {
     let rconfig = ServerConfig {
         replica_of: Some(server.local_addr().to_string()),
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         persist: Some(PersistConfig {
             snapshot_interval: None,
@@ -1575,7 +1568,6 @@ fn e16_resharding(args: &Args) {
     let _ = std::fs::remove_dir_all(&tmp);
     let node_config = |tag: &str| ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         flush_interval: Duration::from_millis(2),
         persist: Some(PersistConfig::new(tmp.join(tag))),
         ..ServerConfig::default()
@@ -1832,7 +1824,6 @@ fn e17_serve() {
     let schema = Schema::uniform(8, 64);
     let config = ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         ..ServerConfig::default()
     };
     let server = Server::start(schema, config, "127.0.0.1:0").expect("start e17 broker");

@@ -13,7 +13,7 @@ use apcm_bexpr::{Event, SubId, Subscription};
 use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_server::client::ConnectOptions;
 use apcm_server::protocol::render_result;
-use apcm_server::{BrokerClient, EngineChoice, PersistConfig, Ring, ServerConfig};
+use apcm_server::{BrokerClient, PersistConfig, Ring, ServerConfig};
 use apcm_workload::WorkloadSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::PathBuf;
@@ -28,10 +28,9 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn backend_config(engine: EngineChoice) -> ServerConfig {
+fn backend_config() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine,
         window: 32,
         flush_interval: Duration::from_millis(2),
         maintenance_interval: Duration::from_millis(50),
@@ -106,9 +105,7 @@ fn router_places_ids_on_the_contract_partition() {
     let wl = WorkloadSpec::new(120).seed(0xC1).build();
     let cluster = ClusterHandle::start(
         wl.schema.clone(),
-        (0..N_BACKENDS)
-            .map(|_| backend_config(EngineChoice::Scan))
-            .collect(),
+        (0..N_BACKENDS).map(|_| backend_config()).collect(),
         router_config(),
     )
     .unwrap();
@@ -132,19 +129,15 @@ fn router_places_ids_on_the_contract_partition() {
     cluster.shutdown();
 }
 
-/// Randomized SUB/UNSUB/PUB churn through the router, mixed backend
-/// engines, versus a brute-force oracle over the live set. Rendered rows
+/// Randomized SUB/UNSUB/PUB churn through the router versus a
+/// brute-force oracle over the live set. Rendered rows
 /// must be byte-identical to the oracle's.
 #[test]
 fn scatter_gather_agrees_with_single_process_oracle() {
     let wl = WorkloadSpec::new(150).seed(0xC2).build();
     let cluster = ClusterHandle::start(
         wl.schema.clone(),
-        vec![
-            backend_config(EngineChoice::Apcm),
-            backend_config(EngineChoice::Scan),
-            backend_config(EngineChoice::BetreeHybrid),
-        ],
+        vec![backend_config(); N_BACKENDS],
         router_config(),
     )
     .unwrap();
@@ -212,7 +205,7 @@ fn backend_failure_degrades_then_rejoins() {
     let configs: Vec<ServerConfig> = (0..N_BACKENDS)
         .map(|i| ServerConfig {
             persist: Some(PersistConfig::new(dir.join(format!("backend{i}")))),
-            ..backend_config(EngineChoice::Apcm)
+            ..backend_config()
         })
         .collect();
     let mut cluster = ClusterHandle::start(wl.schema.clone(), configs, router_config()).unwrap();
@@ -311,9 +304,7 @@ fn topology_and_claim_round_trip() {
     let wl = WorkloadSpec::new(40).seed(0xC4).build();
     let cluster = ClusterHandle::start(
         wl.schema.clone(),
-        (0..N_BACKENDS)
-            .map(|_| backend_config(EngineChoice::Apcm))
-            .collect(),
+        (0..N_BACKENDS).map(|_| backend_config()).collect(),
         router_config(),
     )
     .unwrap();
@@ -378,7 +369,7 @@ fn thousand_idle_clients_on_the_router_pool() {
     let wl = WorkloadSpec::new(10).seed(0xC5).build();
     let cluster = ClusterHandle::start(
         wl.schema.clone(),
-        (0..2).map(|_| backend_config(EngineChoice::Apcm)).collect(),
+        (0..2).map(|_| backend_config()).collect(),
         router_config(),
     )
     .unwrap();

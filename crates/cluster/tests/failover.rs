@@ -17,7 +17,7 @@ use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_server::client::ConnectOptions;
 use apcm_server::persist::failpoint::{self, FailAction};
 use apcm_server::protocol::render_result;
-use apcm_server::{BrokerClient, EngineChoice, PersistConfig, Role, ServerConfig};
+use apcm_server::{BrokerClient, PersistConfig, Role, ServerConfig};
 use apcm_workload::WorkloadSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -42,7 +42,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn node_config(dir: &Path) -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 32,
         flush_interval: Duration::from_millis(2),
         maintenance_interval: Duration::from_millis(50),

@@ -18,7 +18,7 @@ use apcm_bexpr::{AttrId, Event, Op, Predicate, Schema, SubId, Subscription};
 use apcm_cluster::{ClusterHandle, RouterConfig};
 use apcm_server::client::ConnectOptions;
 use apcm_server::protocol::render_result;
-use apcm_server::{BrokerClient, EngineChoice, PersistConfig, Ring, ServerConfig};
+use apcm_server::{BrokerClient, PersistConfig, Ring, ServerConfig};
 use apcm_workload::WorkloadSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -34,10 +34,9 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn backend_config(engine: EngineChoice) -> ServerConfig {
+fn backend_config() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine,
         window: 32,
         flush_interval: Duration::from_millis(2),
         maintenance_interval: Duration::from_millis(50),
@@ -53,7 +52,7 @@ fn node_config(dir: &Path) -> ServerConfig {
             retry_backoff: Duration::from_millis(20),
             ..PersistConfig::new(dir)
         }),
-        ..backend_config(EngineChoice::Apcm)
+        ..backend_config()
     }
 }
 
@@ -189,9 +188,7 @@ fn pruned_scatter_is_sound_and_skips_disjoint_backends() {
     let schema = Schema::uniform(2, 1000);
     let cluster = ClusterHandle::start(
         schema.clone(),
-        (0..N_BACKENDS)
-            .map(|_| backend_config(EngineChoice::Apcm))
-            .collect(),
+        (0..N_BACKENDS).map(|_| backend_config()).collect(),
         router_config(),
     )
     .unwrap();
@@ -272,11 +269,7 @@ fn seeded_churn_rounds_stay_byte_identical_with_pruning() {
     let wl = WorkloadSpec::new(150).seed(0x5A11).build();
     let cluster = ClusterHandle::start(
         wl.schema.clone(),
-        vec![
-            backend_config(EngineChoice::Apcm),
-            backend_config(EngineChoice::Scan),
-            backend_config(EngineChoice::BetreeHybrid),
-        ],
+        vec![backend_config(); N_BACKENDS],
         router_config(),
     )
     .unwrap();

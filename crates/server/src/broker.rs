@@ -383,7 +383,6 @@ impl Server {
             ),
             self.hub.delivery.gauges(),
         );
-        out.push_str(&format!("engine {}\n", self.engine.engine_name()));
         out.push_str(&format!("shards {}\n", self.engine.shard_count()));
         out
     }

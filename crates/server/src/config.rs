@@ -1,45 +1,9 @@
-//! Server configuration: shard layout, engine choice, ingest tuning,
-//! connection policies, and durability.
+//! Server configuration: shard layout, ingest tuning, connection
+//! policies, and durability.
 
 use apcm_core::ApcmConfig;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Which matching engine each shard runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// A-PCM (`apcm_core::ApcmMatcher`) — native dynamic churn, OSR + batch
-    /// pruning inside each shard. The default.
-    Apcm,
-    /// BE-Tree with compressed buckets (`apcm_betree::HybridPcmTree`),
-    /// made dynamic with an overlay buffer folded in by maintenance.
-    BetreeHybrid,
-    /// Brute-force scan over the shard's live set. The correctness
-    /// baseline and the fallback when index build cost is not worth it.
-    Scan,
-}
-
-impl EngineChoice {
-    /// Parses the CLI / protocol spelling.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "apcm" => Ok(Self::Apcm),
-            "betree-hybrid" | "hybrid" => Ok(Self::BetreeHybrid),
-            "scan" => Ok(Self::Scan),
-            other => Err(format!(
-                "unknown engine `{other}` (expected apcm|betree-hybrid|scan)"
-            )),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Apcm => "apcm",
-            Self::BetreeHybrid => "betree-hybrid",
-            Self::Scan => "scan",
-        }
-    }
-}
 
 /// What to do with a connection whose outbound queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,13 +116,9 @@ impl PersistConfig {
 /// Tuning for the sharded matching service.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of hash partitions of the subscription space.
+    /// Number of hash partitions of the subscription space; each shard
+    /// runs its own A-PCM matcher.
     pub shards: usize,
-    /// Engine run by every shard.
-    pub engine: EngineChoice,
-    /// Worker threads per shard for engines with internal parallelism.
-    /// `None` divides available cores evenly across shards.
-    pub threads_per_shard: Option<usize>,
     /// OSR ingest window: events are matched in windows of this many.
     pub window: usize,
     /// Capacity of the bounded ingest queue (events). Producers block when
@@ -207,8 +167,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            engine: EngineChoice::Apcm,
-            threads_per_shard: None,
             window: 128,
             ingest_queue: 4096,
             conn_queue: 1024,
@@ -260,16 +218,15 @@ impl ServerConfig {
         Ok(())
     }
 
-    /// Engine configuration for one shard: with several shards the fan-out
-    /// happens at the shard level, so each shard runs sequentially on its
-    /// share of the cores; a single shard keeps the engine's own pool.
+    /// Matcher configuration for one shard: available cores are divided
+    /// evenly across shards. With several shards the fan-out happens at
+    /// the shard level, so each shard usually runs sequentially on its
+    /// share; a single shard keeps the matcher's own pool.
     pub fn shard_engine_config(&self) -> ApcmConfig {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let per_shard = self
-            .threads_per_shard
-            .unwrap_or_else(|| (cores / self.shards).max(1));
+        let per_shard = (cores / self.shards).max(1);
         if per_shard <= 1 {
             ApcmConfig::sequential()
         } else {
@@ -374,16 +331,5 @@ mod tests {
             ..ServerConfig::default()
         };
         config.validate().unwrap();
-    }
-
-    #[test]
-    fn engine_choice_parses() {
-        assert_eq!(EngineChoice::parse("apcm").unwrap(), EngineChoice::Apcm);
-        assert_eq!(
-            EngineChoice::parse("betree-hybrid").unwrap(),
-            EngineChoice::BetreeHybrid
-        );
-        assert_eq!(EngineChoice::parse("scan").unwrap(), EngineChoice::Scan);
-        assert!(EngineChoice::parse("nope").is_err());
     }
 }

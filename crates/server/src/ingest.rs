@@ -206,7 +206,6 @@ fn process_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineChoice;
     use apcm_bexpr::{parser, Schema, SubId};
     use parking_lot::Mutex;
 
@@ -273,7 +272,6 @@ mod tests {
         let schema = schema();
         let config = ServerConfig {
             shards: 2,
-            engine: EngineChoice::Scan,
             window,
             flush_interval,
             ..ServerConfig::default()

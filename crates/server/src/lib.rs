@@ -3,9 +3,9 @@
 //! The paper's matcher is a library; this crate turns it into a broker:
 //!
 //! * [`ShardedEngine`] hash-partitions the subscription space across N
-//!   shards, each owning a dynamic engine ([`EngineChoice`]: native A-PCM,
-//!   the BE-Tree hybrid behind an overlay, or a brute-force scan), fans
-//!   event windows out across shards on scoped threads, and merges rows.
+//!   shards, each owning an [`apcm_core::ApcmMatcher`] with native live
+//!   churn, fans event windows out across shards on scoped threads, and
+//!   merges rows.
 //! * [`IngestPipeline`] applies OSR at the service boundary: publishes
 //!   flow through a bounded queue (backpressure) into
 //!   [`apcm_core::osr::OsrBuffer`] windows matched by a dedicated thread.
@@ -28,7 +28,6 @@ pub mod broker;
 pub mod client;
 pub mod config;
 pub mod delivery;
-pub mod engine;
 mod event_broker;
 pub mod framing;
 pub mod ingest;
@@ -42,9 +41,8 @@ pub mod stats;
 
 pub use broker::Server;
 pub use client::{is_timeout_error, BrokerClient, ConnectOptions};
-pub use config::{EngineChoice, FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy};
+pub use config::{FsyncPolicy, PersistConfig, ServerConfig, SlowConsumerPolicy};
 pub use delivery::{Delivery, DeliveryGauges};
-pub use engine::ShardEngine;
 pub use framing::{Framed, Framing, FramingCounters, Publish};
 pub use ingest::{IngestItem, IngestPipeline, IngestSender, ResultSink};
 pub use persist::{Persister, RecoveryReport, SnapshotOutcome, StreamStart};

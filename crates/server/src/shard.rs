@@ -1,16 +1,16 @@
-//! Hash-partitioned subscription space: N shards, each owning a dynamic
-//! engine, with window matching fanned out across shards and merged.
+//! Hash-partitioned subscription space: N shards, each owning an
+//! [`ApcmMatcher`], with window matching fanned out across shards and
+//! merged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use apcm_bexpr::{BexprError, Event, Schema, SubId, Subscription};
-use apcm_core::MaintenanceReport;
+use apcm_bexpr::{BexprError, Event, Matcher, Schema, SubId, Subscription};
+use apcm_core::{ApcmMatcher, MaintenanceReport};
 use apcm_encoding::{FixedBitSet, SummarySpace};
 use parking_lot::Mutex;
 
 use crate::config::ServerConfig;
-use crate::engine::{build_engine, ShardEngine};
 
 /// Stable Fibonacci-hash partition of a subscription id over `n` slots.
 ///
@@ -84,7 +84,8 @@ impl SummaryState {
     }
 }
 
-/// A fleet of per-shard engines behind a single dynamic-matching facade.
+/// A fleet of per-shard A-PCM matchers behind a single dynamic-matching
+/// facade.
 ///
 /// Subscriptions are routed to a shard by a Fibonacci hash of their id, so
 /// routing is stable, stateless, and balanced for both dense and sparse id
@@ -98,7 +99,7 @@ impl SummaryState {
 /// exact incrementally and its epoch only advances when the populated bit
 /// set actually changes.
 pub struct ShardedEngine {
-    shards: Vec<Box<dyn ShardEngine>>,
+    shards: Vec<ApcmMatcher>,
     space: SummarySpace,
     summary: Mutex<SummaryState>,
     summary_rebuilds: AtomicU64,
@@ -106,8 +107,9 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     pub fn new(schema: &Schema, config: &ServerConfig) -> Result<Self, BexprError> {
+        let shard_config = config.shard_engine_config();
         let shards = (0..config.shards)
-            .map(|_| build_engine(schema, config))
+            .map(|_| ApcmMatcher::build(schema, &[], &shard_config))
             .collect::<Result<Vec<_>, _>>()?;
         let space = SummarySpace::new(schema);
         let nbits = space.nbits();
@@ -126,10 +128,6 @@ impl ShardedEngine {
 
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    pub fn engine_name(&self) -> &'static str {
-        self.shards[0].name()
     }
 
     /// Stable shard index for a subscription id (see [`route_partition`]).
@@ -165,11 +163,13 @@ impl ShardedEngine {
         removed
     }
 
-    /// Loads a recovered subscription set: groups by owning shard, then
-    /// bulk-subscribes each group on its own scoped thread (the same
-    /// partition-level fan-out as matching), and finishes with one
-    /// maintenance pass so overlay-based engines start from a built index.
-    /// Returns how many subscriptions were added.
+    /// Loads a recovered subscription set: groups the borrowed
+    /// subscriptions by owning shard, then subscribes each group on its own
+    /// scoped thread (the same partition-level fan-out as matching).
+    /// Restored subscriptions land in each matcher's pending buffer, so the
+    /// restore ends with one maintenance pass that folds them into
+    /// clusters. Returns how many subscriptions were added; ids already
+    /// live are skipped.
     pub fn bulk_restore(&self, subs: &[Subscription]) -> Result<usize, BexprError> {
         if subs.is_empty() {
             return Ok(0);
@@ -187,8 +187,13 @@ impl ShardedEngine {
                 .filter(|(_, group)| !group.is_empty())
                 .map(|(shard, group)| {
                     scope.spawn(move || {
-                        let owned: Vec<Subscription> = group.iter().map(|&s| s.clone()).collect();
-                        shard.bulk_subscribe(&owned)
+                        let mut added = 0usize;
+                        for &sub in group {
+                            if shard.subscribe(sub)? {
+                                added += 1;
+                            }
+                        }
+                        Ok::<_, BexprError>(added)
                     })
                 })
                 .collect();
@@ -242,12 +247,7 @@ impl ShardedEngine {
         if events.is_empty() {
             return Vec::new();
         }
-        let active: Vec<&dyn ShardEngine> = self
-            .shards
-            .iter()
-            .map(|s| s.as_ref())
-            .filter(|s| !s.is_empty())
-            .collect();
+        let active: Vec<&ApcmMatcher> = self.shards.iter().filter(|s| !s.is_empty()).collect();
         let per_shard: Vec<Vec<Vec<SubId>>> = match active.len() {
             0 => return vec![Vec::new(); events.len()],
             1 => vec![active[0].match_window(events)],
@@ -337,26 +337,29 @@ impl ShardedEngine {
     }
 
     /// Lifetime kernel counters `(probes, prunes, hits)` summed across
-    /// shards; `None` when the engine kind does not track them.
-    pub fn kernel_counters(&self) -> Option<(u64, u64, u64)> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.kernel_counters())
-            .reduce(|a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
+    /// shards. `ApcmMatcher::stats` walks every cluster, so this is for
+    /// `STATS`, not for per-window use.
+    pub fn kernel_counters(&self) -> (u64, u64, u64) {
+        self.shards.iter().fold((0, 0, 0), |acc, s| {
+            let stats = s.stats();
+            (
+                acc.0 + stats.probes,
+                acc.1 + stats.prunes,
+                acc.2 + stats.hits,
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineChoice;
     use apcm_bexpr::parser;
 
-    fn setup(shards: usize, engine: EngineChoice) -> (Schema, ShardedEngine) {
+    fn setup(shards: usize) -> (Schema, ShardedEngine) {
         let schema = Schema::uniform(4, 32);
         let config = ServerConfig {
             shards,
-            engine,
             ..ServerConfig::default()
         };
         let sharded = ShardedEngine::new(&schema, &config).unwrap();
@@ -381,7 +384,7 @@ mod tests {
 
     #[test]
     fn shard_of_equals_route_partition() {
-        let (_, engine) = setup(5, EngineChoice::Scan);
+        let (_, engine) = setup(5);
         for id in 0..2000 {
             assert_eq!(engine.shard_of(SubId(id)), route_partition(SubId(id), 5));
         }
@@ -389,7 +392,7 @@ mod tests {
 
     #[test]
     fn routing_is_stable_and_in_range() {
-        let (_, engine) = setup(4, EngineChoice::Scan);
+        let (_, engine) = setup(4);
         for id in 0..1000 {
             let s = engine.shard_of(SubId(id));
             assert!(s < 4);
@@ -399,7 +402,7 @@ mod tests {
 
     #[test]
     fn routing_spreads_dense_ids() {
-        let (_, engine) = setup(4, EngineChoice::Scan);
+        let (_, engine) = setup(4);
         let mut counts = [0usize; 4];
         for id in 0..1024 {
             counts[engine.shard_of(SubId(id))] += 1;
@@ -411,69 +414,67 @@ mod tests {
 
     #[test]
     fn sharded_match_merges_sorted_rows() {
-        for kind in [EngineChoice::Scan, EngineChoice::Apcm] {
-            let (schema, engine) = setup(3, kind);
-            for id in 0..64u32 {
-                let text = format!("a0 <= {}", id % 8);
-                let sub = parser::parse_subscription_with_id(&schema, SubId(id), &text).unwrap();
-                assert!(engine.subscribe(&sub).unwrap());
-            }
-            assert_eq!(engine.len(), 64);
-            assert_eq!(engine.per_shard_len().iter().sum::<usize>(), 64);
-
-            let ev = parser::parse_event(&schema, "a0 = 3, a1 = 0, a2 = 0, a3 = 0").unwrap();
-            let rows = engine.match_window(&[ev]);
-            // a0 <= k matches a0 = 3 iff k >= 3 -> ids with id % 8 in 3..8.
-            let expect: Vec<SubId> = (0..64u32).filter(|id| id % 8 >= 3).map(SubId).collect();
-            assert_eq!(rows[0], expect, "engine {}", engine.engine_name());
-
-            assert!(engine.unsubscribe(SubId(3)));
-            assert!(!engine.unsubscribe(SubId(3)));
-            let rows = engine.match_window(&[parser::parse_event(
-                &schema,
-                "a0 = 3, a1 = 0, a2 = 0, a3 = 0",
-            )
-            .unwrap()]);
-            assert!(!rows[0].contains(&SubId(3)));
+        let (schema, engine) = setup(3);
+        for id in 0..64u32 {
+            let text = format!("a0 <= {}", id % 8);
+            let sub = parser::parse_subscription_with_id(&schema, SubId(id), &text).unwrap();
+            assert!(engine.subscribe(&sub).unwrap());
         }
+        assert_eq!(engine.len(), 64);
+        assert_eq!(engine.per_shard_len().iter().sum::<usize>(), 64);
+
+        let ev = parser::parse_event(&schema, "a0 = 3, a1 = 0, a2 = 0, a3 = 0").unwrap();
+        let rows = engine.match_window(std::slice::from_ref(&ev));
+        // a0 <= k matches a0 = 3 iff k >= 3 -> ids with id % 8 in 3..8.
+        let expect: Vec<SubId> = (0..64u32).filter(|id| id % 8 >= 3).map(SubId).collect();
+        assert_eq!(rows[0], expect);
+
+        assert!(engine.unsubscribe(SubId(3)));
+        assert!(!engine.unsubscribe(SubId(3)));
+        assert_eq!(engine.len(), 63);
+        let rows = engine.match_window(&[ev]);
+        let expect: Vec<SubId> = expect.into_iter().filter(|&id| id != SubId(3)).collect();
+        assert_eq!(rows[0], expect);
     }
 
     #[test]
     fn bulk_restore_matches_incremental_subscribe() {
-        for kind in [
-            EngineChoice::Scan,
-            EngineChoice::Apcm,
-            EngineChoice::BetreeHybrid,
-        ] {
-            let (schema, incremental) = setup(3, kind);
-            let (_, restored) = setup(3, kind);
-            let subs: Vec<Subscription> = (0..50u32)
-                .map(|id| {
-                    let text = format!("a0 <= {}", id % 8);
-                    parser::parse_subscription_with_id(&schema, SubId(id), &text).unwrap()
-                })
-                .collect();
-            for sub in &subs {
-                incremental.subscribe(sub).unwrap();
-            }
-            assert_eq!(restored.bulk_restore(&subs).unwrap(), 50);
-            assert_eq!(restored.len(), 50);
-            // Duplicate restore is a no-op.
-            assert_eq!(restored.bulk_restore(&subs).unwrap(), 0);
-
-            let ev = parser::parse_event(&schema, "a0 = 5, a1 = 0, a2 = 0, a3 = 0").unwrap();
-            assert_eq!(
-                restored.match_window(std::slice::from_ref(&ev)),
-                incremental.match_window(&[ev]),
-                "engine {}",
-                restored.engine_name()
-            );
+        let (schema, incremental) = setup(3);
+        let (_, restored) = setup(3);
+        let subs: Vec<Subscription> = (0..50u32)
+            .map(|id| {
+                let text = format!("a0 <= {}", id % 8);
+                parser::parse_subscription_with_id(&schema, SubId(id), &text).unwrap()
+            })
+            .collect();
+        for sub in &subs {
+            incremental.subscribe(sub).unwrap();
         }
+        assert_eq!(restored.bulk_restore(&subs).unwrap(), 50);
+        assert_eq!(restored.len(), 50);
+        // Duplicate restore is a no-op.
+        assert_eq!(restored.bulk_restore(&subs).unwrap(), 0);
+        assert_eq!(restored.len(), 50);
+
+        let window: Vec<Event> = (0..8)
+            .map(|v| parser::parse_event(&schema, &format!("a0 = {v}, a1 = 0")).unwrap())
+            .collect();
+        let oracle: Vec<Vec<SubId>> = window
+            .iter()
+            .map(|ev| {
+                subs.iter()
+                    .filter(|s| s.matches(ev))
+                    .map(|s| s.id())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(restored.match_window(&window), oracle);
+        assert_eq!(incremental.match_window(&window), oracle);
     }
 
     #[test]
     fn summary_tracks_churn_exactly() {
-        let (schema, engine) = setup(3, EngineChoice::Scan);
+        let (schema, engine) = setup(3);
         let (epoch0, bits0) = engine.summary_snapshot();
         assert_eq!(epoch0, 1);
         assert!(bits0.is_empty());
@@ -509,7 +510,7 @@ mod tests {
 
     #[test]
     fn summary_if_newer_elides_unchanged() {
-        let (schema, engine) = setup(2, EngineChoice::Apcm);
+        let (schema, engine) = setup(2);
         let s = parser::parse_subscription_with_id(&schema, SubId(7), "a1 >= 20").unwrap();
         engine.subscribe(&s).unwrap();
         let (epoch, bits) = engine.summary_snapshot();
@@ -524,7 +525,7 @@ mod tests {
 
     #[test]
     fn bulk_restore_rebuilds_summary() {
-        let (schema, engine) = setup(3, EngineChoice::Scan);
+        let (schema, engine) = setup(3);
         let subs: Vec<Subscription> = (0..20u32)
             .map(|id| {
                 let text = format!("a0 = {}", id % 4);
@@ -543,10 +544,10 @@ mod tests {
 
     #[test]
     fn partial_bulk_restore_still_records_summary_bits() {
-        let (schema, engine) = setup(3, EngineChoice::BetreeHybrid);
+        let (schema, engine) = setup(3);
         // Parsed under a wider domain so it builds fine but is rejected by
-        // the engine's schema mid-restore, failing one shard's bulk load
-        // after the other shards already admitted their groups.
+        // the matcher's schema mid-restore, failing one shard's group
+        // after the other shards already admitted theirs.
         let wide = Schema::uniform(4, 64);
         let bad = parser::parse_subscription_with_id(&wide, SubId(42), "a0 = 50").unwrap();
         let mut subs: Vec<Subscription> = vec![bad];
@@ -570,14 +571,13 @@ mod tests {
 
     #[test]
     fn maintain_aggregates_across_shards() {
-        let (schema, engine) = setup(2, EngineChoice::BetreeHybrid);
+        let (schema, engine) = setup(2);
         for id in 0..10u32 {
             let sub = parser::parse_subscription_with_id(&schema, SubId(id), "a0 >= 0").unwrap();
             engine.subscribe(&sub).unwrap();
         }
         let report = engine.maintain();
         assert_eq!(report.folded_pending, 10);
-        assert!(report.rebuilt_clusters >= 1);
         assert!(engine.maintain().is_noop());
     }
 }

@@ -198,7 +198,7 @@ impl ServerStats {
     /// Renders the `STATS` body: `key value` lines, one per metric.
     /// Transport-independent so the CLI can reuse it on shutdown.
     /// `kernel_counters` is the engine's lifetime `(probes, prunes, hits)`
-    /// when it tracks them (see [`crate::ShardedEngine::kernel_counters`]).
+    /// (see [`crate::ShardedEngine::kernel_counters`]).
     /// `summary` is the engine's `(epoch, bits_set, rebuilds)` triple for
     /// the coarse predicate-space summary served to cluster routers.
     /// `delivery` carries the delivery counters and the event loop's
@@ -207,7 +207,7 @@ impl ServerStats {
         &self,
         per_shard_subs: &[usize],
         ingest_depth: usize,
-        kernel_counters: Option<(u64, u64, u64)>,
+        kernel_counters: (u64, u64, u64),
         summary: (u64, u64, u64),
         delivery: DeliveryGauges,
     ) -> String {
@@ -300,11 +300,10 @@ impl ServerStats {
         push("summary_epoch", summary_epoch);
         push("summary_bits_set", summary_bits);
         push("summary_rebuilds", summary_rebuilds);
-        if let Some((probes, prunes, hits)) = kernel_counters {
-            push("kernel_probes", probes);
-            push("kernel_prunes", prunes);
-            push("kernel_hits", hits);
-        }
+        let (probes, prunes, hits) = kernel_counters;
+        push("kernel_probes", probes);
+        push("kernel_prunes", prunes);
+        push("kernel_hits", hits);
         for (i, &n) in per_shard_subs.iter().enumerate() {
             push(&format!("shard_{i}_subs"), n as u64);
         }
@@ -353,7 +352,7 @@ mod tests {
         let stats = ServerStats::default();
         ServerStats::add(&stats.events_in, 7);
         let none = DeliveryGauges::default();
-        let text = stats.render(&[3, 4], 2, None, (1, 0, 0), none);
+        let text = stats.render(&[3, 4], 2, (0, 0, 0), (1, 0, 0), none);
         assert!(text.contains("events_in 7\n"));
         assert!(text.contains("windows_timed_out 0\n"));
         assert!(text.contains("shard_0_subs 3\n"));
@@ -366,9 +365,9 @@ mod tests {
         assert!(text.contains("subs_reclaimed 0\n"));
         assert!(text.contains("conns_rejected 0\n"));
         assert!(text.contains("summary_epoch 1\n"));
-        assert!(!text.contains("kernel_probes"));
+        assert!(text.contains("kernel_probes 0\n"));
 
-        let text = stats.render(&[3, 4], 2, Some((10, 4, 6)), (4, 12, 1), none);
+        let text = stats.render(&[3, 4], 2, (10, 4, 6), (4, 12, 1), none);
         assert!(text.contains("summary_epoch 4\n"));
         assert!(text.contains("summary_bits_set 12\n"));
         assert!(text.contains("summary_rebuilds 1\n"));
@@ -388,7 +387,7 @@ mod tests {
             conns_rejected: 5,
             ..DeliveryGauges::default()
         };
-        let text = stats.render(&[1], 0, None, (1, 0, 0), delivery);
+        let text = stats.render(&[1], 0, (0, 0, 0), (1, 0, 0), delivery);
         assert!(text.contains("replies_dropped 2\n"));
         assert!(text.contains("conns_rejected 5\n"));
         assert!(text.contains("connections_open 9\n"));

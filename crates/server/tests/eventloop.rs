@@ -6,7 +6,7 @@
 //! golden transcript (`tests/protocol_golden.rs`).
 
 use apcm_bexpr::{parser, Schema, SubId};
-use apcm_server::{BrokerClient, EngineChoice, Server, ServerConfig, SlowConsumerPolicy};
+use apcm_server::{BrokerClient, Server, ServerConfig, SlowConsumerPolicy};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 fn base_config() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 16,
         flush_interval: Duration::from_millis(5),
         maintenance_interval: Duration::from_millis(50),

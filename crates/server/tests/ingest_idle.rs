@@ -8,7 +8,7 @@
 
 use apcm_bexpr::{parser, Schema, SubId};
 use apcm_server::{
-    EngineChoice, IngestItem, IngestPipeline, ResultSink, ServerConfig, ServerStats, ShardedEngine,
+    IngestItem, IngestPipeline, ResultSink, ServerConfig, ServerStats, ShardedEngine,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,7 +40,6 @@ fn idle_matcher_sleeps_with_zero_flush_interval() {
     let schema = Schema::uniform(2, 8);
     let config = ServerConfig {
         shards: 1,
-        engine: EngineChoice::Scan,
         flush_interval: Duration::ZERO,
         ..ServerConfig::default()
     };

@@ -3,7 +3,7 @@
 //! scan oracle, STATS accounting, and graceful shutdown.
 
 use apcm_bexpr::{SubId, Subscription};
-use apcm_server::{BrokerClient, EngineChoice, Server, ServerConfig};
+use apcm_server::{BrokerClient, Server, ServerConfig};
 use apcm_workload::WorkloadSpec;
 use std::time::Duration;
 
@@ -36,7 +36,6 @@ fn loopback_batch_agrees_with_oracle() {
     let wl = workload();
     let config = ServerConfig {
         shards: 3,
-        engine: EngineChoice::Apcm,
         window: 32,
         flush_interval: Duration::from_millis(5),
         maintenance_interval: Duration::from_millis(50),
@@ -94,7 +93,6 @@ fn loopback_batch_agrees_with_oracle() {
     // Graceful shutdown returns the final stats render.
     let final_stats = server.shutdown();
     assert!(final_stats.contains("events_in 96"));
-    assert!(final_stats.contains("engine apcm"));
     assert!(final_stats.contains("shards 3"));
 }
 
@@ -103,7 +101,6 @@ fn live_churn_and_error_replies() {
     let wl = workload();
     let config = ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 16,
         flush_interval: Duration::from_millis(5),
         ..ServerConfig::default()
@@ -177,7 +174,6 @@ fn shutdown_with_idle_connections_is_bounded() {
         wl.schema.clone(),
         ServerConfig {
             shards: 2,
-            engine: EngineChoice::Scan,
             ..ServerConfig::default()
         },
         "127.0.0.1:0",

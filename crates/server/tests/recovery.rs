@@ -13,9 +13,7 @@
 
 use apcm_bexpr::{SubId, Subscription};
 use apcm_server::persist::failpoint::{self, FailAction};
-use apcm_server::{
-    BrokerClient, EngineChoice, PersistConfig, Persister, Server, ServerConfig, ServerStats,
-};
+use apcm_server::{BrokerClient, PersistConfig, Persister, Server, ServerConfig, ServerStats};
 use apcm_workload::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -39,7 +37,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn persisted_config(dir: &Path) -> ServerConfig {
     ServerConfig {
         shards: 3,
-        engine: EngineChoice::Apcm,
         window: 32,
         flush_interval: Duration::from_millis(5),
         maintenance_interval: Duration::from_millis(100),

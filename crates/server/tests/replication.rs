@@ -8,9 +8,7 @@
 use apcm_bexpr::{Schema, SubId, Subscription};
 use apcm_server::persist::failpoint::{self, FailAction};
 use apcm_server::persist::log::{render_frame, ChurnOp};
-use apcm_server::{
-    BrokerClient, EngineChoice, PersistConfig, Role, Server, ServerConfig, ServerStats,
-};
+use apcm_server::{BrokerClient, PersistConfig, Role, Server, ServerConfig, ServerStats};
 use apcm_workload::WorkloadSpec;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -34,7 +32,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn persisted_config(dir: &Path) -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 32,
         flush_interval: Duration::from_millis(5),
         maintenance_interval: Duration::from_millis(50),

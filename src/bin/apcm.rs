@@ -6,7 +6,7 @@
 //! apcm match --trace trace.txt --engine apcm
 //! apcm match --trace trace.txt --engine scan --limit 100
 //! apcm stats --trace trace.txt
-//! apcm serve --addr 127.0.0.1:7401 --shards 4 --engine apcm
+//! apcm serve --addr 127.0.0.1:7401 --shards 4
 //! apcm route --addr 127.0.0.1:7400 --backends 127.0.0.1:7401,127.0.0.1:7402
 //! apcm client --addr 127.0.0.1:7401
 //! ```
@@ -17,9 +17,7 @@ use apcm::cluster::{BackendSpec, Router, RouterConfig};
 use apcm::core::{ApcmConfig, ApcmMatcher, PcmMatcher};
 use apcm::prelude::*;
 use apcm::server::client::{connect_stream, is_timeout_error, ConnectOptions};
-use apcm::server::{
-    EngineChoice, FsyncPolicy, PersistConfig, Server, ServerConfig, SlowConsumerPolicy,
-};
+use apcm::server::{FsyncPolicy, PersistConfig, Server, ServerConfig, SlowConsumerPolicy};
 use apcm::workload::{Trace, ValueDist, WorkloadSpec};
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -69,7 +67,7 @@ usage:
              [--batch N] [--limit N]
   apcm stats --trace FILE
   apcm serve [--addr HOST:PORT] [--dims N] [--cardinality N] [--shards N]
-             [--engine apcm|betree-hybrid|scan] [--window N] [--queue N]
+             [--window N] [--queue N] (every shard runs A-PCM)
              [--flush-ms N] [--maintenance-ms N] [--slow-consumer drop|disconnect]
              [--persist-dir DIR] [--fsync always|interval|never] [--snapshot-secs N]
              [--max-delta-chain N] [--rotate-bytes N] [--idle-timeout-ms N]
@@ -96,7 +94,7 @@ fn known_flags(command: &str) -> Option<&'static str> {
         "match" => "trace engine batch limit",
         "stats" => "trace",
         "serve" => {
-            "addr dims cardinality shards engine window queue flush-ms maintenance-ms \
+            "addr dims cardinality shards window queue flush-ms maintenance-ms \
              slow-consumer persist-dir fsync snapshot-secs max-delta-chain \
              rotate-bytes idle-timeout-ms max-line-bytes loop-workers max-conns replica-of"
         }
@@ -266,9 +264,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         maintenance_interval: Duration::from_millis(get(flags, "maintenance-ms", 250)?),
         ..ServerConfig::default()
     };
-    if let Some(engine) = flags.get("engine") {
-        config.engine = EngineChoice::parse(engine)?;
-    }
     if let Some(policy) = flags.get("slow-consumer") {
         config.slow_consumer = SlowConsumerPolicy::parse(policy)?;
     }
@@ -307,11 +302,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         print!("{report}");
     }
     println!(
-        "listening on {} ({} shards, engine {}, event-loop io); \
+        "listening on {} ({} shards, event-loop io); \
          close stdin or type `stop` to shut down",
         server.local_addr(),
-        server.engine().shard_count(),
-        server.engine().engine_name()
+        server.engine().shard_count()
     );
     if let Some(primary) = following {
         println!("  replica mode: following {primary} (client churn is refused until PROMOTE)");

@@ -16,11 +16,12 @@ fn apcm(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn serve_rejects_unknown_flags() {
-    // The removed I/O-model and snapshot-format switches and a misspelt
-    // `--shards` all fail before anything binds.
+    // The removed I/O-model, snapshot-format and engine switches and a
+    // misspelt `--shards` all fail before anything binds.
     for (flag, value) in [
         ("io-model", "threads"),
         ("snapshot-format", "text"),
+        ("engine", "scan"),
         ("shard", "4"),
     ] {
         let (ok, stderr) = apcm(&["serve", &format!("--{flag}"), value]);

@@ -5,7 +5,7 @@ use apcm::baselines::SequentialScan;
 use apcm::betree::{BeTree, BeTreeConfig};
 use apcm::core::{AdaptiveConfig, ApcmConfig, ApcmMatcher};
 use apcm::prelude::*;
-use apcm::server::{EngineChoice, ServerConfig, ShardedEngine};
+use apcm::server::{ServerConfig, ShardedEngine};
 use apcm::workload::WorkloadSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -157,81 +157,69 @@ fn resubscribe_same_id_after_unsubscribe() {
 fn sharded_engine_tracks_live_set_under_churn() {
     // Interleave subscribe / unsubscribe / match across a multi-shard
     // engine; every window must agree with a sequential scan over the
-    // live set, for each per-shard engine kind.
-    for kind in [
-        EngineChoice::Apcm,
-        EngineChoice::BetreeHybrid,
-        EngineChoice::Scan,
-    ] {
-        let wl = WorkloadSpec::new(300)
-            .seed(208)
-            .planted_fraction(0.3)
-            .build();
-        let config = ServerConfig {
-            shards: 3,
-            engine: kind,
-            ..ServerConfig::default()
-        };
-        let sharded = ShardedEngine::new(&wl.schema, &config).unwrap();
-        let mut live: HashMap<SubId, Subscription> = HashMap::new();
-        let extra = WorkloadSpec::new(300).seed(209).build();
-        let mut rng = StdRng::seed_from_u64(210);
-        let mut stream = wl.stream();
-        let mut next_extra = 0usize;
+    // live set.
+    let wl = WorkloadSpec::new(300)
+        .seed(208)
+        .planted_fraction(0.3)
+        .build();
+    let config = ServerConfig {
+        shards: 3,
+        ..ServerConfig::default()
+    };
+    let sharded = ShardedEngine::new(&wl.schema, &config).unwrap();
+    let mut live: HashMap<SubId, Subscription> = HashMap::new();
+    let extra = WorkloadSpec::new(300).seed(209).build();
+    let mut rng = StdRng::seed_from_u64(210);
+    let mut stream = wl.stream();
+    let mut next_extra = 0usize;
 
-        for sub in &wl.subs {
-            assert!(sharded.subscribe(sub).unwrap());
-            live.insert(sub.id(), sub.clone());
+    for sub in &wl.subs {
+        assert!(sharded.subscribe(sub).unwrap());
+        live.insert(sub.id(), sub.clone());
+    }
+    // Duplicate subscribe is rejected without disturbing the live set.
+    assert!(!sharded.subscribe(&wl.subs[0]).unwrap());
+    // Unsubscribe of an id that was never registered reports false.
+    assert!(!sharded.unsubscribe(SubId(999_999)));
+    assert_eq!(sharded.len(), live.len());
+
+    for round in 0..12 {
+        let victims: Vec<SubId> = live
+            .keys()
+            .copied()
+            .filter(|_| rng.gen_bool(0.05))
+            .collect();
+        for id in victims {
+            assert!(sharded.unsubscribe(id), "round {round}: {id:?} must exist");
+            assert!(!sharded.unsubscribe(id), "round {round}: double unsub");
+            live.remove(&id);
         }
-        // Duplicate subscribe is rejected without disturbing the live set.
-        assert!(!sharded.subscribe(&wl.subs[0]).unwrap());
-        // Unsubscribe of an id that was never registered reports false.
-        assert!(!sharded.unsubscribe(SubId(999_999)));
-        assert_eq!(sharded.len(), live.len());
-
-        for round in 0..12 {
-            let victims: Vec<SubId> = live
-                .keys()
-                .copied()
-                .filter(|_| rng.gen_bool(0.05))
-                .collect();
-            for id in victims {
-                assert!(sharded.unsubscribe(id), "round {round}: {id:?} must exist");
-                assert!(!sharded.unsubscribe(id), "round {round}: double unsub");
-                live.remove(&id);
+        for _ in 0..10 {
+            if next_extra >= extra.subs.len() {
+                break;
             }
-            for _ in 0..10 {
-                if next_extra >= extra.subs.len() {
-                    break;
-                }
-                let fresh = Subscription::new(
-                    SubId(30_000 + next_extra as u32),
-                    extra.subs[next_extra].predicates().to_vec(),
-                )
-                .unwrap();
-                next_extra += 1;
-                assert!(sharded.subscribe(&fresh).unwrap());
-                live.insert(fresh.id(), fresh);
-            }
-            if round % 4 == 3 {
-                sharded.maintain();
-            }
-
-            let live_subs: Vec<Subscription> = live.values().cloned().collect();
-            let scan = SequentialScan::new(&live_subs);
-            let window: Vec<Event> = (&mut stream).take(40).collect();
-            let rows = sharded.match_window(&window);
-            for (ev, row) in window.iter().zip(rows.iter()) {
-                assert_eq!(
-                    row,
-                    &scan.match_event(ev),
-                    "round {round}, engine {}",
-                    sharded.engine_name()
-                );
-            }
-            assert_eq!(sharded.len(), live.len(), "round {round}");
-            assert_eq!(sharded.per_shard_len().iter().sum::<usize>(), live.len());
+            let fresh = Subscription::new(
+                SubId(30_000 + next_extra as u32),
+                extra.subs[next_extra].predicates().to_vec(),
+            )
+            .unwrap();
+            next_extra += 1;
+            assert!(sharded.subscribe(&fresh).unwrap());
+            live.insert(fresh.id(), fresh);
         }
+        if round % 4 == 3 {
+            sharded.maintain();
+        }
+
+        let live_subs: Vec<Subscription> = live.values().cloned().collect();
+        let scan = SequentialScan::new(&live_subs);
+        let window: Vec<Event> = (&mut stream).take(40).collect();
+        let rows = sharded.match_window(&window);
+        for (ev, row) in window.iter().zip(rows.iter()) {
+            assert_eq!(row, &scan.match_event(ev), "round {round}");
+        }
+        assert_eq!(sharded.len(), live.len(), "round {round}");
+        assert_eq!(sharded.per_shard_len().iter().sum::<usize>(), live.len());
     }
 }
 

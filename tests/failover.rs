@@ -6,7 +6,7 @@
 
 use apcm::prelude::*;
 use apcm::server::client::ConnectOptions;
-use apcm::server::{EngineChoice, PersistConfig, Role, ServerStats};
+use apcm::server::{PersistConfig, Role, ServerStats};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn node_config(dir: &Path) -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 32,
         flush_interval: Duration::from_millis(2),
         maintenance_interval: Duration::from_millis(50),

@@ -9,7 +9,7 @@
 //! `windows_timed_out 0`: closed-loop traffic never reaches the timer.
 
 use apcm::prelude::*;
-use apcm::server::{protocol, EngineChoice, ServerStats};
+use apcm::server::{protocol, ServerStats};
 use std::time::Duration;
 
 const N_SUBS: usize = 80;
@@ -28,7 +28,6 @@ fn workload() -> apcm::workload::Workload {
 fn config() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 128,
         flush_interval: Duration::from_secs(30),
         ..ServerConfig::default()

@@ -7,7 +7,6 @@
 //! header comment.
 
 use apcm::prelude::*;
-use apcm::server::EngineChoice;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -50,7 +49,6 @@ fn schema() -> Schema {
 fn config() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        engine: EngineChoice::Apcm,
         window: 16,
         flush_interval: Duration::from_millis(5),
         ..ServerConfig::default()

@@ -205,12 +205,11 @@ fn router_rejects_oversized_line_and_stays_up() {
 
 #[test]
 fn broker_survives_slow_reader_under_drop_policy() {
-    use apcm::server::{BrokerClient, EngineChoice, Server, ServerConfig};
+    use apcm::server::{BrokerClient, Server, ServerConfig};
 
     let schema = Schema::uniform(3, 16);
     let config = ServerConfig {
         shards: 2,
-        engine: EngineChoice::Scan,
         window: 8,
         conn_queue: 4, // tiny outbound queue: overflows immediately
         flush_interval: std::time::Duration::from_millis(2),
