@@ -1,11 +1,11 @@
-//! E2 (Criterion micro-version) — thread scalability and executor ablation.
+//! E2 (Criterion micro-version) — thread scalability.
 //!
 //! Full sweep: `harness --experiment e2`. On a single-core host the curve is
-//! flat by construction; the bench still validates that the parallel paths
-//! carry no pathological overhead versus the sequential executor.
+//! flat by construction; the bench still validates that the multi-thread
+//! pool carries no pathological overhead versus one thread.
 
 use apcm_bexpr::Matcher;
-use apcm_core::{ApcmConfig, ApcmMatcher, Executor};
+use apcm_core::{ApcmConfig, ApcmMatcher};
 use apcm_workload::WorkloadSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -23,21 +23,12 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e02_threads");
     group.throughput(Throughput::Elements(events.len() as u64));
-    for (label, executor) in [
-        ("sequential", Executor::Sequential),
-        ("rayon", Executor::Rayon),
-        ("crossbeam", Executor::Crossbeam),
-    ] {
-        for &threads in &thread_counts {
-            let config = ApcmConfig {
-                executor,
-                ..ApcmConfig::default().with_threads(threads)
-            };
-            let matcher = ApcmMatcher::build(&wl.schema, &wl.subs, &config).unwrap();
-            group.bench_with_input(BenchmarkId::new(label, threads), &events, |b, evs| {
-                b.iter(|| matcher.match_batch(evs))
-            });
-        }
+    for &threads in &thread_counts {
+        let config = ApcmConfig::default().with_threads(threads);
+        let matcher = ApcmMatcher::build(&wl.schema, &wl.subs, &config).unwrap();
+        group.bench_with_input(BenchmarkId::new("apcm", threads), &events, |b, evs| {
+            b.iter(|| matcher.match_batch(evs))
+        });
     }
     group.finish();
 }

@@ -14,7 +14,7 @@
 use apcm_bench::{fmt_bytes, fmt_rate, measure_latency, measure_throughput, EngineKind, Table};
 use apcm_bexpr::{AttrId, Event, Matcher, Op, Predicate, Schema, SubId, Subscription};
 use apcm_cluster::{ClusterHandle, RouterConfig};
-use apcm_core::{AdaptiveConfig, ApcmConfig, ApcmMatcher, ClusteringPolicy, Executor, PcmMatcher};
+use apcm_core::{AdaptiveConfig, ApcmConfig, ApcmMatcher, ClusteringPolicy, PcmMatcher};
 use apcm_server::{
     route_partition, BrokerClient, PersistConfig, Ring, Server, ServerConfig, ServerStats,
 };
@@ -309,8 +309,8 @@ fn e1_corpus_size(args: &Args) {
     println!();
 }
 
-/// E2 — scalability with worker threads (rayon vs crossbeam executors, plus
-/// the parallel scan for reference).
+/// E2 — scalability with worker threads: A-PCM's scoped-thread pool swept
+/// from one thread to every available core.
 fn e2_threads(args: &Args) {
     println!("## E2 — A-PCM throughput vs threads (events/s)\n");
     let n = scaled(1_000_000, args.scale);
@@ -327,32 +327,24 @@ fn e2_threads(args: &Args) {
         threads.push(max_threads);
     }
 
-    let mut headers = vec!["executor".to_string()];
+    let mut headers = vec!["engine".to_string()];
     headers.extend(threads.iter().map(|t| format!("{t}t")));
     let mut table = Table::new(headers);
-    for (label, executor) in [
-        ("A-PCM/rayon", Executor::Rayon),
-        ("A-PCM/crossbeam", Executor::Crossbeam),
-    ] {
-        let mut cells = vec![label.to_string()];
-        for &t in &threads {
-            let config = ApcmConfig {
-                executor,
-                ..ApcmConfig::default().with_threads(t)
-            };
-            let matcher = ApcmMatcher::build(&wl.schema, &wl.subs, &config).unwrap();
-            let m = measure_throughput(&matcher, &events, args.budget);
-            args.record(
-                "e2",
-                label,
-                format!("threads={t}"),
-                "events_per_sec",
-                m.events_per_sec,
-            );
-            cells.push(fmt_rate(m.events_per_sec));
-        }
-        table.row(cells);
+    let mut cells = vec!["A-PCM".to_string()];
+    for &t in &threads {
+        let config = ApcmConfig::default().with_threads(t);
+        let matcher = ApcmMatcher::build(&wl.schema, &wl.subs, &config).unwrap();
+        let m = measure_throughput(&matcher, &events, args.budget);
+        args.record(
+            "e2",
+            "A-PCM",
+            format!("threads={t}"),
+            "events_per_sec",
+            m.events_per_sec,
+        );
+        cells.push(fmt_rate(m.events_per_sec));
     }
+    table.row(cells);
     table.print();
     println!("(corpus {n}; sequential PCM-SEQ appears in E1 as the 1-thread floor)\n");
 }
@@ -394,7 +386,7 @@ fn e3_osr(args: &Args) {
         table.row(cells);
     }
     table.print();
-    println!("(corpus {n}; b=1 is per-event matching, no batch pruning)\n");
+    println!("(corpus {n}; b=1 is per-event matching, no cluster-major batching)\n");
 }
 
 /// E4 — expression size (predicates per subscription).

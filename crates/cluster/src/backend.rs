@@ -2,7 +2,7 @@
 //! server.
 //!
 //! The router serializes all traffic on a backend connection behind a
-//! mutex (see [`crate::membership::Backend`]), so a request/response here
+//! mutex (see [`crate::membership::Node`]), so a request/response here
 //! never interleaves with another thread's command: after a command line
 //! is written, the next `+`/`-` line on the wire is its reply.
 //! Asynchronous `RESULT` lines are consumed only inside

@@ -17,7 +17,7 @@
 //! the snapshot file, delta files, and the bootstrap wire.
 //!
 //! Modules: [`varint`] (LEB128), [`lz`] (LZSS), [`b64`] (base64 for the
-//! newline wire), [`crc`] (CRC-32), [`block`] (columnar codec), [`file`]
+//! newline wire), [`crc`] (CRC-32), [`block`] (columnar codec), [`mod@file`]
 //! (snapshot container), [`manifest`] (full+delta chain), [`failpoint`]
 //! (fault injection shared with the broker's persistence tier).
 

@@ -220,19 +220,6 @@ impl Cluster {
         }
     }
 
-    /// Whether the whole cluster can be skipped for a batch whose event
-    /// bitmaps union to `batch_union`: if the shared mask is not contained
-    /// in the union, it is contained in no event of the batch. (Blocked
-    /// bits cannot batch-prune: a bit set in the union may come from a
-    /// different event.)
-    #[inline]
-    pub fn batch_prunable(&self, batch_union: &FixedBitSet) -> bool {
-        match &self.repr {
-            ClusterRepr::Compressed { shared, .. } => !shared.subset_of_dense(batch_union),
-            ClusterRepr::Direct { .. } => false,
-        }
-    }
-
     /// Reconstructs every member's full encoding (used by re-clustering).
     pub fn to_encoded(&self) -> Vec<EncodedSub> {
         match &self.repr {
@@ -437,18 +424,6 @@ mod tests {
         c.match_into(&ev(10, &[2, 3]), &mut out);
         assert!(out.is_empty(), "blocked in direct representation too");
         assert_eq!(c.prunes.load(Ordering::Relaxed), 0, "direct never prunes");
-    }
-
-    #[test]
-    fn batch_prune_logic() {
-        let c = Cluster::compressed(&[enc(0, &[1, 2, 3])]);
-        assert!(!c.batch_prunable(&ev(10, &[1, 2, 3, 5])));
-        assert!(c.batch_prunable(&ev(10, &[1, 2])));
-        let d = Cluster::direct(&[enc(0, &[1])]);
-        assert!(
-            !d.batch_prunable(&ev(10, &[])),
-            "direct clusters never batch-prune"
-        );
     }
 
     #[test]

@@ -2,29 +2,14 @@
 
 use crate::{AdaptiveConfig, ClusteringPolicy};
 
-/// Which parallel executor fans matching work across cores. Rayon is the
-/// default; the crossbeam-scoped executor exists for the executor ablation
-/// (DESIGN.md, E2) and as a dependency-minimal fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// No parallelism: sequential cluster sweep (the paper's "PCM
-    /// sequential" configuration).
-    Sequential,
-    /// A rayon thread pool owned by the matcher.
-    Rayon,
-    /// Crossbeam scoped threads, one spawn per chunk per call.
-    Crossbeam,
-}
-
 /// Full A-PCM configuration. [`ApcmConfig::default`] reflects the paper's
 /// recommended operating point: compressed clusters, all cores, OSR on,
 /// adaptivity on.
 #[derive(Debug, Clone)]
 pub struct ApcmConfig {
-    /// Worker threads; `None` uses all available cores.
+    /// Worker threads the matcher's scoped-thread pool fans out to; `None`
+    /// uses all available cores, `Some(1)` matches on the caller's thread.
     pub threads: Option<usize>,
-    /// Parallel executor.
-    pub executor: Executor,
     /// How subscription bitmaps are grouped into clusters.
     pub clustering: ClusteringPolicy,
     /// Upper bound on members per cluster. Larger clusters amortize the
@@ -33,8 +18,9 @@ pub struct ApcmConfig {
     /// OSR window: events buffered and reordered per batch. `1` disables
     /// re-ordering (every event is its own batch).
     pub batch_size: usize,
-    /// Whether `match_batch` re-orders events within a window (OSR). Batch
-    /// union pruning is applied whenever `batch_size > 1`, ordered or not.
+    /// Whether `match_batch` re-orders events within a window (OSR). Each
+    /// batch is probed cluster-major whenever `batch_size > 1`, ordered or
+    /// not.
     pub reorder: bool,
     /// Adaptive maintenance settings.
     pub adaptive: AdaptiveConfig,
@@ -44,7 +30,6 @@ impl Default for ApcmConfig {
     fn default() -> Self {
         Self {
             threads: None,
-            executor: Executor::Rayon,
             clustering: ClusteringPolicy::default(),
             max_cluster_size: 64,
             batch_size: 256,
@@ -66,12 +51,10 @@ impl ApcmConfig {
         }
     }
 
-    /// Fully sequential compressed matching (for the parallelism ablation).
+    /// Fully sequential compressed matching (for the parallelism ablation):
+    /// [`ApcmConfig::pcm`] on one thread.
     pub fn sequential() -> Self {
-        Self {
-            executor: Executor::Sequential,
-            ..Self::pcm()
-        }
+        Self::pcm().with_threads(1)
     }
 
     /// Sets the thread count (fluent).
@@ -118,7 +101,8 @@ mod tests {
         assert_eq!(pcm.batch_size, 1);
         assert!(!pcm.adaptive.enabled);
         let seq = ApcmConfig::sequential();
-        assert_eq!(seq.executor, Executor::Sequential);
+        assert_eq!(seq.threads, Some(1));
+        assert_eq!(seq.batch_size, 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sharded matcher-lifetime counters.
 //!
-//! Every rayon/crossbeam worker used to `fetch_add` the same per-cluster
+//! Every matching worker used to `fetch_add` the same per-cluster
 //! atomics once per probe, so concurrent matching threads ping-ponged the
 //! cluster cache lines. The matcher now keeps its lifetime totals in a small
 //! array of cache-line-padded [`CounterCell`]s: each worker thread hashes to

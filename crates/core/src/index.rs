@@ -141,27 +141,6 @@ impl ClusterIndex {
         out
     }
 
-    /// How many clusters [`ClusterIndex::candidates_into`] would gather,
-    /// without materializing them: posting-list lengths are summed directly
-    /// off the pivot sweep.
-    pub fn candidate_count(&self, ewords: &[u64]) -> usize {
-        let mut count = self.unpivoted.len();
-        let n = ewords.len().min(self.pivot_mask.words().len());
-        for (w, (&ew, &mw)) in ewords[..n]
-            .iter()
-            .zip(self.pivot_mask.words()[..n].iter())
-            .enumerate()
-        {
-            let mut word = ew & mw;
-            while word != 0 {
-                let bit = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                count += self.by_pivot[bit].len();
-            }
-        }
-        count
-    }
-
     /// Probes candidate cluster `idx` against the raw event row, returning
     /// the counter deltas for the caller's thread-local accumulator.
     #[inline]
@@ -181,13 +160,6 @@ impl ClusterIndex {
         for idx in self.candidates(ebits) {
             self.probe(idx, ebits, out);
         }
-    }
-
-    /// Clusters the pivot index skipped for this event — used by the stats
-    /// tables to report access-pruning effectiveness. Counts without
-    /// gathering the candidate list.
-    pub fn skipped(&self, ebits: &FixedBitSet) -> usize {
-        self.clusters.len() - self.candidate_count(ebits.words())
     }
 }
 
@@ -254,20 +226,6 @@ mod tests {
         assert_eq!(c, vec![0, 1, 2]);
         // Event with no key bits → only the unpivoted cluster.
         assert_eq!(index.candidates(&ev(16, &[1, 4])), vec![2]);
-        assert_eq!(index.skipped(&ev(16, &[1, 4])), 2);
-    }
-
-    #[test]
-    fn candidate_count_matches_gather() {
-        let index = build_index();
-        for bits in [vec![], vec![2usize], vec![2, 9], vec![1, 4], vec![3, 9]] {
-            let e = ev(16, &bits);
-            assert_eq!(
-                index.candidate_count(e.words()),
-                index.candidates(&e).len(),
-                "bits {bits:?}"
-            );
-        }
     }
 
     #[test]

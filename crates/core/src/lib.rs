@@ -10,12 +10,12 @@
 //!    once (the shared mask) plus tiny per-member sparse residuals. One
 //!    subset test on the shared mask prunes the entire cluster.
 //! 2. **Parallelism** ([`parallel`]) — clusters are embarrassingly parallel;
-//!    matching fans out over a dedicated thread pool (rayon by default, a
-//!    crossbeam-scoped executor for the ablation).
+//!    matching fans out over one scoped-thread pool sized by
+//!    [`ApcmConfig::threads`] (one thread runs on the caller).
 //! 3. **Online stream re-ordering** ([`osr`]) — events are buffered into
 //!    windows and reordered by bitmap similarity so consecutive events hit
-//!    the same clusters; a per-batch union mask prunes clusters for whole
-//!    batches at a time.
+//!    the same clusters; each batch is probed cluster-major, so a cluster
+//!    stays hot in cache across the batch's events.
 //! 4. **Adaptivity** ([`adaptive`]) — per-cluster counters drive epoch-based
 //!    maintenance: clusters whose compression stopped paying are rebuilt or
 //!    demoted to a direct representation, and newly subscribed expressions
@@ -57,7 +57,7 @@ pub mod topk;
 pub use adaptive::{AdaptiveConfig, MaintenanceReport};
 pub use cluster::{Cluster, ClusterRepr, Probe};
 pub use clustering::ClusteringPolicy;
-pub use config::{ApcmConfig, Executor};
+pub use config::ApcmConfig;
 pub use counters::{CounterCell, CounterShards};
 pub use dnf::DnfEngine;
 pub use index::ClusterIndex;

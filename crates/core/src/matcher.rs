@@ -58,7 +58,7 @@ impl ApcmMatcher {
             .cluster(&encoded, config.max_cluster_size, &selectivity);
         let index = ClusterIndex::build(clusters, space.width(), &selectivity);
         let locator = Inner::build_locator(&index);
-        let pool = Pool::new(config.executor, config.threads);
+        let pool = Pool::new(config.threads);
         Ok(Self {
             counters: CounterShards::new(pool.threads()),
             pool,
@@ -151,8 +151,8 @@ impl ApcmMatcher {
         &self.config
     }
 
-    /// Matches a window of events in arrival order, applying OSR and batch
-    /// pruning per the configuration. Equivalent to
+    /// Matches a window of events in arrival order, applying OSR and
+    /// cluster-major batch probing per the configuration. Equivalent to
     /// [`Matcher::match_batch`]; exposed with an explicit name for
     /// documentation purposes.
     pub fn match_window(&self, events: &[Event]) -> Vec<Vec<SubId>> {
@@ -320,17 +320,17 @@ impl Inner {
             let idx = order[j];
             let ewords = table.row(idx);
             scratch::with_scratch(|s| {
-                s.counts.ensure(self.index.len());
-                self.index.candidates_into(ewords, &mut s.candidates);
-                s.row.clear();
-                for &c in &s.candidates {
-                    let probe = self.index.probe_words(c, ewords, &mut s.row);
-                    s.counts.count(c, probe);
-                }
+                Pool::INLINE.probe_event(
+                    &self.index,
+                    ewords,
+                    &mut s.candidates,
+                    &mut s.counts,
+                    Some(counters),
+                    &mut s.row,
+                );
                 self.match_pending_words(ewords, &mut s.row);
                 s.row.sort_unstable();
                 s.row.dedup();
-                s.counts.flush(self.index.clusters(), Some(counters.cell()));
                 (idx, s.row.as_slice().to_vec())
             })
         })
@@ -451,38 +451,14 @@ impl Matcher for ApcmMatcher {
         let out = scratch::with_scratch(|s| {
             s.ensure_width(inner.space.width());
             inner.space.encode_event_into(ev, &mut s.ebits);
-            inner
-                .index
-                .candidates_into(s.ebits.words(), &mut s.candidates);
-            s.row.clear();
-            if s.candidates.len() >= 64 && self.pool.threads() > 1 {
-                let chunk = self.pool.cluster_chunk_size(s.candidates.len());
-                let index = &inner.index;
-                let counters = &self.counters;
-                let ebits = &s.ebits;
-                let mut gathered = self.pool.flat_map_chunks(&s.candidates, chunk, |idxs| {
-                    // Worker threads count on their own scratch.
-                    scratch::with_scratch(|ws| {
-                        ws.counts.ensure(index.len());
-                        let mut local = Vec::new();
-                        for &idx in idxs {
-                            let probe = index.probe_words(idx, ebits.words(), &mut local);
-                            ws.counts.count(idx, probe);
-                        }
-                        ws.counts.flush(index.clusters(), Some(counters.cell()));
-                        local
-                    })
-                });
-                s.row.append(&mut gathered);
-            } else {
-                s.counts.ensure(inner.index.len());
-                for &idx in &s.candidates {
-                    let probe = inner.index.probe_words(idx, s.ebits.words(), &mut s.row);
-                    s.counts.count(idx, probe);
-                }
-                s.counts
-                    .flush(inner.index.clusters(), Some(self.counters.cell()));
-            }
+            self.pool.probe_event(
+                &inner.index,
+                s.ebits.words(),
+                &mut s.candidates,
+                &mut s.counts,
+                Some(&self.counters),
+                &mut s.row,
+            );
             inner.match_pending_words(s.ebits.words(), &mut s.row);
             s.row.sort_unstable();
             s.row.dedup();
@@ -760,6 +736,7 @@ mod proptests {
             batch in 1usize..64,
             reorder in proptest::bool::ANY,
             greedy in proptest::bool::ANY,
+            threads in 1usize..5,
         ) {
             let wl = WorkloadSpec::new(250).seed(seed).planted_fraction(0.4).build();
             let config = ApcmConfig {
@@ -771,7 +748,7 @@ mod proptests {
                 } else {
                     crate::ClusteringPolicy::SortedSignature
                 },
-                ..ApcmConfig::default()
+                ..ApcmConfig::default().with_threads(threads)
             };
             let apcm = ApcmMatcher::build(&wl.schema, &wl.subs, &config).unwrap();
             let scan = SequentialScan::new(&wl.subs);

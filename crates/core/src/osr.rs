@@ -3,10 +3,9 @@
 //! Events arrive in arbitrary order, but nearby-in-content events exercise
 //! the same clusters. OSR buffers a window, reorders it so that similar
 //! events are adjacent, and lets the matcher process the window in
-//! *batches*: per batch, the union of the event bitmaps prunes clusters for
-//! the whole batch (a cluster whose shared mask is not contained in the
-//! union matches no event of the batch), and cluster data stays hot in cache
-//! across the batch's events.
+//! *batches*: per batch, candidate clusters are probed cluster-major, so a
+//! cluster's shared mask and residuals stay hot in cache across the batch's
+//! events.
 //!
 //! Re-ordering is content-based and cheap: events are sorted by the word
 //! prefix of their satisfied-predicate bitmaps, so events sharing their
@@ -15,40 +14,22 @@
 //! internal execution strategy, not a semantic change.
 
 use apcm_bexpr::Event;
-use apcm_encoding::FixedBitSet;
 
-/// Computes the processing order for a window of encoded events: indices
-/// into `encoded`, sorted by bitmap content (lexicographic over words,
-/// original index as the tiebreak for determinism).
-pub fn reorder_permutation(encoded: &[FixedBitSet]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..encoded.len()).collect();
-    order.sort_by(|&a, &b| encoded[a].words().cmp(encoded[b].words()).then(a.cmp(&b)));
-    order
-}
-
-/// [`reorder_permutation`] over a flat encoded-event word table (the
-/// matcher's per-window [`crate::EncTable`]) — same ordering, no per-event
-/// bitmap objects.
+/// Computes the processing order for a window's flat encoded-event word
+/// table (the matcher's per-window [`crate::EncTable`]): row indices sorted
+/// by bitmap content, lexicographic over words, original index as the
+/// tiebreak for determinism.
 pub fn reorder_permutation_rows(table: &crate::EncTable) -> Vec<usize> {
     let mut order: Vec<usize> = (0..table.rows()).collect();
     order.sort_by(|&a, &b| table.row(a).cmp(table.row(b)).then(a.cmp(&b)));
     order
 }
 
-/// The union of a batch's event bitmaps — the whole-batch pruning mask.
-pub fn batch_union(width: usize, batch: &[&FixedBitSet]) -> FixedBitSet {
-    let mut union = FixedBitSet::new(width);
-    for ebits in batch {
-        union.union_with(ebits);
-    }
-    union
-}
-
 /// A fixed-capacity buffer that hands out full windows for batch matching.
 ///
 /// Streaming applications push events as they arrive; every `capacity`-th
 /// push returns the full window to run through
-/// [`crate::ApcmMatcher::match_batch`]. [`OsrBuffer::flush`] drains a
+/// [`crate::ApcmMatcher::match_window`]. [`OsrBuffer::flush`] drains a
 /// partial window at stream end (or on a latency deadline — the buffer
 /// itself imposes no timing policy).
 #[derive(Debug)]
@@ -102,21 +83,27 @@ impl OsrBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EncTable;
     use apcm_bexpr::AttrId;
 
-    fn bits(width: usize, ids: &[usize]) -> FixedBitSet {
-        FixedBitSet::from_indices(width, ids.iter().copied())
+    /// A table with one row per entry of `rows`, each holding the listed
+    /// bits of a `width`-bit space.
+    fn table(width: usize, rows: &[&[usize]]) -> EncTable {
+        let mut t = EncTable::default();
+        t.reset(rows.len(), width);
+        let stride = t.stride();
+        for (r, bits) in rows.iter().enumerate() {
+            for &b in bits.iter() {
+                t.words_mut()[r * stride + b / 64] |= 1 << (b % 64);
+            }
+        }
+        t
     }
 
     #[test]
     fn permutation_is_a_permutation() {
-        let encoded = vec![
-            bits(128, &[5, 9]),
-            bits(128, &[1, 2]),
-            bits(128, &[5, 9]),
-            bits(128, &[]),
-        ];
-        let mut perm = reorder_permutation(&encoded);
+        let t = table(128, &[&[5, 9], &[1, 2], &[5, 9], &[]]);
+        let mut perm = reorder_permutation_rows(&t);
         assert_eq!(perm.len(), 4);
         perm.sort_unstable();
         assert_eq!(perm, vec![0, 1, 2, 3]);
@@ -124,36 +111,17 @@ mod tests {
 
     #[test]
     fn identical_events_become_adjacent() {
-        let encoded = vec![
-            bits(128, &[5, 9]),
-            bits(128, &[1, 2]),
-            bits(128, &[5, 9]),
-            bits(128, &[1, 2]),
-        ];
-        let perm = reorder_permutation(&encoded);
+        let t = table(128, &[&[5, 9], &[1, 2], &[5, 9], &[1, 2]]);
+        let perm = reorder_permutation_rows(&t);
         // The two [1,2] events and the two [5,9] events end up adjacent.
-        assert_eq!(encoded[perm[0]], encoded[perm[1]]);
-        assert_eq!(encoded[perm[2]], encoded[perm[3]]);
+        assert_eq!(t.row(perm[0]), t.row(perm[1]));
+        assert_eq!(t.row(perm[2]), t.row(perm[3]));
     }
 
     #[test]
     fn permutation_deterministic_with_ties() {
-        let encoded = vec![bits(64, &[1]), bits(64, &[1]), bits(64, &[1])];
-        assert_eq!(reorder_permutation(&encoded), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn union_covers_all_members() {
-        let a = bits(128, &[1, 64]);
-        let b = bits(128, &[2, 100]);
-        let union = batch_union(128, &[&a, &b]);
-        assert_eq!(union.ones().collect::<Vec<_>>(), vec![1, 2, 64, 100]);
-        assert!(a.is_subset(&union) && b.is_subset(&union));
-    }
-
-    #[test]
-    fn empty_batch_union_is_empty() {
-        assert!(batch_union(64, &[]).is_empty());
+        let t = table(64, &[&[1], &[1], &[1]]);
+        assert_eq!(reorder_permutation_rows(&t), vec![0, 1, 2]);
     }
 
     #[test]

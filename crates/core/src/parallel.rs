@@ -1,48 +1,42 @@
 //! Parallel execution layer.
 //!
 //! Clusters are independent, and so are the events of a batch, so matching
-//! parallelizes along either axis. This module wraps the two executors
-//! behind one interface:
-//!
-//! * **rayon** (default) — a thread pool owned by the matcher, so the
-//!   thread-count sweep (experiment E2) controls parallelism per matcher
-//!   instance instead of fighting over the global pool;
-//! * **crossbeam** scoped threads — one spawn per chunk per call, kept as a
-//!   dependency-minimal comparison point for the executor ablation.
+//! parallelizes along either axis. [`Pool`] is the one place that decision
+//! is made: a thread count over `std::thread::scope`, which splits the work
+//! into one contiguous, order-preserving chunk per worker. With one thread,
+//! or at most one item, the work runs on the calling thread and nothing is
+//! spawned — the path every sequentially configured matcher (each server
+//! shard, for one) takes.
 
-use crate::config::Executor;
+use crate::scratch::{self, ProbeCounts};
+use crate::{ClusterIndex, CounterShards};
+use apcm_bexpr::SubId;
+use std::ops::Range;
 
-/// An executor instance bound to a thread count.
+/// Fewest candidate clusters one event fans out across the pool for; below
+/// this, spawning workers costs more than probing inline.
+const EVENT_FAN_OUT_MIN: usize = 64;
+
+/// A worker count for matching fan-out.
 #[derive(Debug)]
 pub struct Pool {
-    executor: Executor,
-    rayon: Option<rayon::ThreadPool>,
     threads: usize,
 }
 
 impl Pool {
+    /// A one-thread pool: everything runs on the caller's thread. Batch
+    /// paths that already split across events probe each event with it.
+    pub(crate) const INLINE: Pool = Pool { threads: 1 };
+
     /// Builds the pool; `threads = None` uses all available parallelism.
-    pub fn new(executor: Executor, threads: Option<usize>) -> Self {
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let threads = threads.unwrap_or(available).max(1);
-        let rayon = match executor {
-            Executor::Rayon => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("building a rayon pool cannot fail with valid thread count"),
-            ),
-            _ => None,
-        };
+    pub fn new(threads: Option<usize>) -> Self {
+        let threads = threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         Self {
-            executor,
-            rayon,
-            threads: match executor {
-                Executor::Sequential => 1,
-                _ => threads,
-            },
+            threads: threads.max(1),
         }
     }
 
@@ -51,77 +45,57 @@ impl Pool {
         self.threads
     }
 
+    /// Splits `0..n` into one contiguous range per worker, runs `f` on each
+    /// and concatenates the outputs in range order.
+    fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
+    {
+        let workers = match self.threads.min(n) {
+            0 => return Vec::new(),
+            1 => return f(0..n),
+            workers => workers,
+        };
+        let chunk = n.div_ceil(workers);
+        std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|lo| scope.spawn(move || f(lo..(lo + chunk).min(n))))
+                .collect();
+            let mut parts = handles
+                .into_iter()
+                .map(|h| h.join().expect("matching worker panicked"));
+            let mut out = parts.next().unwrap_or_default();
+            for part in parts {
+                out.extend(part);
+            }
+            out
+        })
+    }
+
     /// Parallel ordered map: `out[i] = f(i)` for `i in 0..n`.
     ///
-    /// Every executor preserves index order in the result, so batch matching
-    /// keeps event order without a post-pass.
+    /// Index order is preserved in the result, so batch matching keeps
+    /// event order without a post-pass.
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize) -> T + Sync + Send,
+        F: Fn(usize) -> T + Sync,
     {
-        match self.executor {
-            Executor::Sequential => (0..n).map(f).collect(),
-            Executor::Rayon => {
-                use rayon::prelude::*;
-                self.rayon
-                    .as_ref()
-                    .expect("rayon pool built in constructor")
-                    .install(|| (0..n).into_par_iter().map(f).collect())
-            }
-            Executor::Crossbeam => {
-                if n == 0 {
-                    return Vec::new();
-                }
-                let chunk = n.div_ceil(self.threads);
-                let mut slots: Vec<Vec<T>> = Vec::new();
-                crossbeam::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for t in 0..self.threads {
-                        let lo = t * chunk;
-                        if lo >= n {
-                            break;
-                        }
-                        let hi = (lo + chunk).min(n);
-                        let f = &f;
-                        handles.push(scope.spawn(move |_| (lo..hi).map(f).collect::<Vec<T>>()));
-                    }
-                    for h in handles {
-                        slots.push(h.join().expect("matching worker panicked"));
-                    }
-                })
-                .expect("crossbeam scope panicked");
-                slots.into_iter().flatten().collect()
-            }
-        }
+        self.run(n, |range| range.map(&f).collect())
     }
 
-    /// Parallel flat-map over chunks: applies `f` to each contiguous chunk
-    /// of `items` and concatenates the results in chunk order.
-    pub fn flat_map_chunks<I, T, F>(&self, items: &[I], chunk_size: usize, f: F) -> Vec<T>
+    /// Parallel flat-map: applies `f` to one contiguous chunk of `items`
+    /// per worker and concatenates the results in chunk order.
+    pub fn flat_map_chunks<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
-        F: Fn(&[I]) -> Vec<T> + Sync + Send,
+        F: Fn(&[I]) -> Vec<T> + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = items.len().div_ceil(chunk_size);
-        self.map_indexed(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            f(&items[lo..hi])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Chunk size that gives each worker several chunks to steal.
-    pub fn cluster_chunk_size(&self, n_clusters: usize) -> usize {
-        (n_clusters / (self.threads * 8)).max(1)
+        self.run(items.len(), |range| f(&items[range]))
     }
 
     /// Splits `data` into per-worker contiguous chunks — each a multiple of
@@ -132,7 +106,7 @@ impl Pool {
     pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], align: usize, f: F)
     where
         T: Send,
-        F: Fn(usize, &mut [T]) + Sync + Send,
+        F: Fn(usize, &mut [T]) + Sync,
     {
         let n = data.len();
         let align = align.max(1);
@@ -141,51 +115,82 @@ impl Pool {
             return;
         }
         let rows = n / align;
-        let workers = self.threads.min(rows).max(1);
+        let workers = self.threads.min(rows);
         if workers <= 1 {
             f(0, data);
             return;
         }
-        let rows_per = rows.div_ceil(workers);
-        let chunk = rows_per * align;
+        let chunk = rows.div_ceil(workers) * align;
         std::thread::scope(|scope| {
             let f = &f;
-            let mut rest = data;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                let lo = start;
-                scope.spawn(move || f(lo, head));
-                start += take;
-                rest = tail;
+            for (c, part) in data.chunks_mut(chunk).enumerate() {
+                scope.spawn(move || f(c * chunk, part));
             }
         });
     }
+
+    /// Matches one encoded event row against `index`: gathers its candidate
+    /// clusters into `candidates`, probes each, and writes the matches
+    /// (unsorted) into `row`. Probe outcomes are accumulated in `counts` —
+    /// worker-local ones when the candidates fan out across the pool — and
+    /// flushed once into the clusters and, when given, `counters`.
+    pub(crate) fn probe_event(
+        &self,
+        index: &ClusterIndex,
+        ewords: &[u64],
+        candidates: &mut Vec<u32>,
+        counts: &mut ProbeCounts,
+        counters: Option<&CounterShards>,
+        row: &mut Vec<SubId>,
+    ) {
+        index.candidates_into(ewords, candidates);
+        row.clear();
+        if candidates.len() >= EVENT_FAN_OUT_MIN && self.threads > 1 {
+            let found = self.flat_map_chunks(candidates, |idxs| {
+                scratch::with_scratch(|ws| {
+                    let mut local = Vec::new();
+                    probe_all(index, ewords, idxs, &mut ws.counts, counters, &mut local);
+                    local
+                })
+            });
+            row.extend(found);
+        } else {
+            probe_all(index, ewords, candidates, counts, counters, row);
+        }
+    }
+}
+
+/// Probes `idxs` in order on the calling thread, then flushes the counts.
+fn probe_all(
+    index: &ClusterIndex,
+    ewords: &[u64],
+    idxs: &[u32],
+    counts: &mut ProbeCounts,
+    counters: Option<&CounterShards>,
+    out: &mut Vec<SubId>,
+) {
+    counts.ensure(index.len());
+    for &idx in idxs {
+        let probe = index.probe_words(idx, ewords, out);
+        counts.count(idx, probe);
+    }
+    counts.flush(index.clusters(), counters.map(CounterShards::cell));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::{current, ThreadId};
 
     fn pools() -> Vec<Pool> {
-        vec![
-            Pool::new(Executor::Sequential, None),
-            Pool::new(Executor::Rayon, Some(4)),
-            Pool::new(Executor::Crossbeam, Some(4)),
-        ]
+        [1, 3, 16].map(|t| Pool::new(Some(t))).into()
     }
 
     #[test]
     fn map_indexed_preserves_order() {
         for pool in pools() {
             let out = pool.map_indexed(100, |i| i * 2);
-            assert_eq!(
-                out,
-                (0..100).map(|i| i * 2).collect::<Vec<_>>(),
-                "{:?}",
-                pool.executor
-            );
+            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>(), "{pool:?}");
         }
     }
 
@@ -200,22 +205,20 @@ mod tests {
     fn flat_map_chunks_concatenates_in_order() {
         let items: Vec<u32> = (0..97).collect();
         for pool in pools() {
-            let out = pool.flat_map_chunks(&items, 10, |chunk| chunk.to_vec());
-            assert_eq!(out, items, "{:?}", pool.executor);
+            let out = pool.flat_map_chunks(&items, |chunk| chunk.to_vec());
+            assert_eq!(out, items, "{pool:?}");
+            assert!(pool
+                .flat_map_chunks(&[] as &[u32], |c| c.to_vec())
+                .is_empty());
         }
     }
 
     #[test]
-    fn sequential_pool_reports_one_thread() {
-        assert_eq!(Pool::new(Executor::Sequential, Some(8)).threads(), 1);
-        assert_eq!(Pool::new(Executor::Rayon, Some(3)).threads(), 3);
-    }
-
-    #[test]
-    fn chunk_size_positive() {
-        let pool = Pool::new(Executor::Rayon, Some(4));
-        assert!(pool.cluster_chunk_size(0) >= 1);
-        assert!(pool.cluster_chunk_size(1_000_000) >= 1);
+    fn threads_default_and_floor() {
+        assert_eq!(Pool::new(Some(8)).threads(), 8);
+        assert_eq!(Pool::new(Some(0)).threads(), 1);
+        assert!(Pool::new(None).threads() >= 1);
+        assert_eq!(Pool::INLINE.threads(), 1);
     }
 
     #[test]
@@ -228,16 +231,50 @@ mod tests {
                 }
             });
             let expect: Vec<u32> = (1..=21).collect();
-            assert_eq!(data, expect, "{:?}", pool.executor);
+            assert_eq!(data, expect, "{pool:?}");
             // Empty buffer is a no-op.
             pool.for_each_chunk_mut(&mut [] as &mut [u32], 3, |_, _| panic!("no chunks"));
         }
     }
 
     #[test]
-    fn crossbeam_more_threads_than_items() {
-        let pool = Pool::new(Executor::Crossbeam, Some(16));
-        let out = pool.map_indexed(3, |i| i);
-        assert_eq!(out, vec![0, 1, 2]);
+    fn more_threads_than_items() {
+        let pool = Pool::new(Some(16));
+        assert_eq!(pool.map_indexed(3, |i| i), vec![0, 1, 2]);
+    }
+
+    /// Runs every entry point over `items` items and returns the threads
+    /// each call of `f` ran on.
+    fn threads_used(pool: &Pool, items: usize) -> Vec<ThreadId> {
+        let mut seen = pool.map_indexed(items, |_| current().id());
+        let data: Vec<usize> = (0..items).collect();
+        seen.extend(pool.flat_map_chunks(&data, |_| vec![current().id()]));
+        let mut rows = vec![0u8; items];
+        let ids = std::sync::Mutex::new(Vec::new());
+        pool.for_each_chunk_mut(&mut rows, 1, |_, _| {
+            ids.lock().unwrap().push(current().id())
+        });
+        seen.extend(ids.into_inner().unwrap());
+        seen
+    }
+
+    #[test]
+    fn one_thread_or_one_item_runs_on_the_caller() {
+        let me = current().id();
+        let inline = Pool::new(Some(1));
+        let seen = threads_used(&inline, 50);
+        assert_eq!(seen.len(), 50 + 1 + 1);
+        assert!(seen.iter().all(|&t| t == me), "one-thread pool spawned");
+        for pool in pools() {
+            let seen = threads_used(&pool, 1);
+            assert_eq!(seen.len(), 3, "{pool:?}");
+            assert!(
+                seen.iter().all(|&t| t == me),
+                "{pool:?} spawned for one item"
+            );
+        }
+        // Several items on several threads do leave the caller.
+        let seen = threads_used(&Pool::new(Some(3)), 9);
+        assert!(seen.iter().all(|&t| t != me));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::{parallel::Pool, scratch, ApcmConfig, Cluster, ClusterIndex};
 use apcm_bexpr::{BexprError, Event, Matcher, Schema, SubId, Subscription};
-use apcm_encoding::{FixedBitSet, PredicateSpace};
+use apcm_encoding::PredicateSpace;
 
 /// The paper's PCM configuration: compressed clusters swept in parallel,
 /// no stream re-ordering, no adaptivity, static corpus.
@@ -33,7 +33,7 @@ impl PcmMatcher {
             .clustering
             .cluster(&encoded, config.max_cluster_size, &selectivity);
         let index = ClusterIndex::build(clusters, space.width(), &selectivity);
-        let pool = Pool::new(config.executor, config.threads);
+        let pool = Pool::new(config.threads);
         Ok(Self {
             space,
             index,
@@ -42,49 +42,27 @@ impl PcmMatcher {
         })
     }
 
-    /// Matches a pre-encoded event bitmap (sorted, deduplicated ids).
+    /// Encodes and matches one event (sorted, deduplicated ids).
     ///
     /// The pivot index narrows the cluster sweep to clusters whose pivot
-    /// predicate the event satisfies; those candidates are then fanned out
-    /// across the pool.
-    pub fn match_encoded(&self, ebits: &FixedBitSet) -> Vec<SubId> {
+    /// predicate the event satisfies; `pool` decides whether those
+    /// candidates fan out across workers.
+    fn match_on(&self, pool: &Pool, ev: &Event) -> Vec<SubId> {
         scratch::with_scratch(|s| {
-            self.index.candidates_into(ebits.words(), &mut s.candidates);
-            s.row.clear();
-            if self.pool.threads() > 1 && s.candidates.len() >= 64 {
-                let index = &self.index;
-                let chunk = self.pool.cluster_chunk_size(s.candidates.len());
-                let found = self.pool.flat_map_chunks(&s.candidates, chunk, |idxs| {
-                    scratch::with_scratch(|ws| {
-                        ws.counts.ensure(index.len());
-                        let mut local = Vec::new();
-                        for &idx in idxs {
-                            let probe = index.probe_words(idx, ebits.words(), &mut local);
-                            ws.counts.count(idx, probe);
-                        }
-                        ws.counts.flush(index.clusters(), None);
-                        local
-                    })
-                });
-                s.row.extend(found);
-            } else {
-                s.counts.ensure(self.index.len());
-                for &idx in &s.candidates {
-                    let probe = self.index.probe_words(idx, ebits.words(), &mut s.row);
-                    s.counts.count(idx, probe);
-                }
-                s.counts.flush(self.index.clusters(), None);
-            }
+            s.ensure_width(self.space.width());
+            self.space.encode_event_into(ev, &mut s.ebits);
+            pool.probe_event(
+                &self.index,
+                s.ebits.words(),
+                &mut s.candidates,
+                &mut s.counts,
+                None,
+                &mut s.row,
+            );
             s.row.sort_unstable();
             s.row.dedup();
             s.row.as_slice().to_vec()
         })
-    }
-
-    /// The underlying predicate space (shared with the harness for encode
-    /// timing).
-    pub fn space(&self) -> &PredicateSpace {
-        &self.space
     }
 
     /// The cluster set (read-only; exposed for the compression experiment).
@@ -96,58 +74,19 @@ impl PcmMatcher {
     pub fn heap_bytes(&self) -> usize {
         self.clusters().iter().map(Cluster::heap_bytes).sum()
     }
-
-    /// Clusters the pivot index would skip for this event (access-pruning
-    /// metric for the stats tables).
-    pub fn skipped_clusters(&self, ev: &Event) -> usize {
-        self.index.skipped(&self.space.encode_event(ev))
-    }
-
-    /// Candidate cluster indexes for a pre-encoded event (profiling hook).
-    pub fn index_candidates(&self, ebits: &FixedBitSet) -> Vec<u32> {
-        self.index.candidates(ebits)
-    }
 }
 
 impl Matcher for PcmMatcher {
     fn match_event(&self, ev: &Event) -> Vec<SubId> {
-        // Borrow the thread's scratch bitmap for the encode, then hand it to
-        // the shared single-event kernel. (`match_encoded` re-enters
-        // `with_scratch`, so the bitmap is moved out rather than borrowed
-        // across the call.)
-        let ebits = scratch::with_scratch(|s| {
-            s.ensure_width(self.space.width());
-            self.space.encode_event_into(ev, &mut s.ebits);
-            std::mem::take(&mut s.ebits)
-        });
-        let out = self.match_encoded(&ebits);
-        scratch::with_scratch(|s| s.ebits = ebits);
-        out
+        self.match_on(&self.pool, ev)
     }
 
     fn match_batch(&self, events: &[Event]) -> Vec<Vec<SubId>> {
         // Parallelize along the event axis — better locality than fanning
         // every single event across all cores. Each worker reuses its own
         // thread-local scratch across the events it processes.
-        let width = self.space.width();
-        self.pool.map_indexed(events.len(), |i| {
-            scratch::with_scratch(|s| {
-                s.ensure_width(width);
-                self.space.encode_event_into(&events[i], &mut s.ebits);
-                s.counts.ensure(self.index.len());
-                self.index
-                    .candidates_into(s.ebits.words(), &mut s.candidates);
-                s.row.clear();
-                for &idx in &s.candidates {
-                    let probe = self.index.probe_words(idx, s.ebits.words(), &mut s.row);
-                    s.counts.count(idx, probe);
-                }
-                s.counts.flush(self.index.clusters(), None);
-                s.row.sort_unstable();
-                s.row.dedup();
-                s.row.as_slice().to_vec()
-            })
-        })
+        self.pool
+            .map_indexed(events.len(), |i| self.match_on(&Pool::INLINE, &events[i]))
     }
 
     fn name(&self) -> &'static str {
@@ -162,7 +101,6 @@ impl Matcher for PcmMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Executor;
     use apcm_baselines::SequentialScan;
     use apcm_workload::{OperatorMix, WorkloadSpec};
 
@@ -170,10 +108,7 @@ mod tests {
         vec![
             ApcmConfig::sequential(),
             ApcmConfig::pcm().with_threads(4),
-            ApcmConfig {
-                executor: Executor::Crossbeam,
-                ..ApcmConfig::pcm().with_threads(4)
-            },
+            ApcmConfig::pcm().with_threads(16),
             ApcmConfig {
                 clustering: crate::ClusteringPolicy::GreedyLeader {
                     threshold: 0.3,

@@ -10,10 +10,9 @@
 //! result vectors.
 //!
 //! Access is strictly take/put ([`with_scratch`] moves the scratch out of
-//! the slot for the duration of the closure): if a nested call ever occurs
-//! (e.g. a "parallel" executor shim that runs closures on the calling
-//! thread), the inner scope simply sees a fresh empty scratch instead of
-//! panicking on a re-borrow.
+//! the slot for the duration of the closure): if a nested call ever occurs,
+//! the inner scope simply sees a fresh empty scratch instead of panicking
+//! on a re-borrow.
 
 use crate::cluster::{Cluster, Probe};
 use crate::counters::CounterCell;

@@ -25,7 +25,7 @@ pub struct MatcherStats {
     /// resets only the per-cluster epoch counters that drive adaptivity,
     /// never these.
     pub probes: u64,
-    /// Probes rejected by shared-mask or batch-union pruning (lifetime).
+    /// Probes rejected by the shared-mask test (lifetime).
     pub prunes: u64,
     /// Member matches produced (lifetime).
     pub hits: u64,

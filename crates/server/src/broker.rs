@@ -9,11 +9,11 @@
 //! persister's [`Persister::maintenance_tick`]) riding the loop's tick
 //! hook. Thread count is O(workers), not O(connections), so tens of
 //! thousands of mostly-idle subscribers fit in one pool. Every inbound
-//! line goes through one dispatcher ([`crate::request::on_conn_line`]),
+//! line goes through one dispatcher (`request::on_conn_line`),
 //! and every outbound line through [`Delivery`] — the framing and
 //! delivery types the cluster router is built from as well.
 //! The **matcher** thread inside [`IngestPipeline`], the outbound
-//! replication/reshard pullers ([`ReplicaRunner`], [`ReshardRunner`]) and
+//! replication/reshard pullers (`ReplicaRunner`, `ReshardRunner`) and
 //! offloaded blocking requests run on dedicated threads.
 //!
 //! Subscriptions are durable within a run: a closed connection keeps its
